@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProlateBasis, extension_matrix
+from .basis import ProlateBasis, _panel_extension, extension_matrix
 from .errors import QuadratureError
 from .params import SlepianParams
-from .quadrature import real_line_rule
+from .quadrature import gauss_legendre, real_line_rule
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,14 @@ def project(f, basis: ProlateBasis, *, bandlimited: bool = False,
             f"tail of the integrand still significant at radius {rule.radius:g}; "
             f"pass bandlimited=True if f is bandlimited, or raise max_radius",
             achieved=achieved)
-    psi = extension_matrix(basis, rule.nodes)
-    coeffs = psi @ (rule.weights * rule.values)
+    # panel nodes depend only on T and the panel order, fixed per basis, so
+    # the extension onto each panel is computed once and reused
+    wv = rule.weights * rule.values
+    m = rule.panel_order
+    coeffs = np.zeros(basis.n_modes)
+    for i, edges in enumerate(rule.panels):
+        part = slice(i * m, (i + 1) * m)
+        coeffs += _panel_extension(basis, (m, edges), rule.nodes[part]) @ wv[part]
     return BandlimitedFunction(params=basis.params, coeffs=coeffs)
 
 
@@ -142,9 +148,7 @@ def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None,
                            / basis.lambdas[: f.coeffs.size, None])
         band = min(omega, omega0)
         nw = n_omega or max(96, math.ceil(3.0 * basis.params.c) + 32)
-        x, w = np.polynomial.legendre.leggauss(nw)
-        x = band * x
-        w = band * w
+        x, w = gauss_legendre(nw, -band, band)
         transform = np.exp(-1j * np.outer(x, basis.nodes)) @ beta
         e_in = float(np.dot(w, np.abs(transform) ** 2)) / (2.0 * math.pi)
         e_tot = f.energy()
@@ -162,9 +166,7 @@ def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None,
             "time-domain energy tail still above budget at the radius cap",
             achieved=rule.tail_energy / rule.total_energy)
     nw = n_omega or max(96, math.ceil(0.8 * omega * rule.radius) + 32)
-    x, w = np.polynomial.legendre.leggauss(nw)
-    x = omega * x
-    w = omega * w
+    x, w = gauss_legendre(nw, -omega, omega)
     transform = np.exp(-1j * np.outer(x, rule.nodes)) @ (rule.weights * rule.values)
     e_in = float(np.dot(w, np.abs(transform) ** 2)) / (2.0 * math.pi)
     return float(min(max(e_in / rule.total_energy, 0.0), 1.0))

@@ -16,7 +16,7 @@ n-th Hermite-Gauss mode (not its negative) for large c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,8 +41,16 @@ def sinc_kernel(t, z, omega: float):
     """
     if not (omega > 0.0):
         raise ValueError("omega must be positive")
-    x = np.subtract(t, z, dtype=float)
-    return (omega / np.pi) * np.sinc((omega / np.pi) * x)
+    # the operations of (omega/pi) * np.sinc((omega/pi) * x) in the same order,
+    # done in place: two arrays of the output's size plus a mask, not six
+    u = np.asarray(np.subtract(t, z, dtype=float))
+    u *= omega / np.pi
+    u *= np.pi
+    u[u == 0.0] = np.finfo(float).eps  # sin(eps)/eps == 1 exactly
+    k = np.sin(u)
+    k /= u
+    k *= omega / np.pi
+    return k[()]
 
 
 def sinc_kernel_dt(t, z, omega: float):
@@ -75,7 +83,10 @@ def default_quad_order(c: float, n_max: int) -> int:
 class ProlateBasis:
     """Computed family psi_0..psi_n_max for one (c, T) configuration.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads.  It carries a
+    private, lazily filled cache of Nystrom extension blocks on fixed
+    real-line quadrature panels (see ``project``); two threads missing the
+    same block only compute it twice.
 
     Attributes
     ----------
@@ -93,6 +104,8 @@ class ProlateBasis:
     lambdas: np.ndarray
     samples: np.ndarray
     lambda_floor: float = LAMBDA_FLOOR
+    _extension_blocks: dict = field(default_factory=dict, init=False,
+                                    repr=False, compare=False, hash=False)
 
     @property
     def n_modes(self) -> int:
@@ -158,9 +171,12 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
 
     nodes, weights = gauss_legendre(quad_order, -T, T)
     sqw = np.sqrt(weights)
-    kernel = sinc_kernel(nodes[:, None], nodes[None, :], omega)
-    sym = kernel * sqw[:, None] * sqw[None, :]
-    sym = 0.5 * (sym + sym.T)
+    # scaled and symmetrized in place: one order x order array lives through eigh
+    sym = sinc_kernel(nodes[:, None], nodes[None, :], omega)
+    sym *= sqw[:, None]
+    sym *= sqw[None, :]
+    sym += sym.T
+    sym *= 0.5
     evals, evecs = np.linalg.eigh(sym)
     order = np.argsort(evals)[::-1]
     lam_all = np.clip(evals[order], 0.0, np.nextafter(1.0, 0.0))
@@ -236,6 +252,19 @@ def extension_matrix(basis: ProlateBasis, t, indices=None) -> np.ndarray:
     kernel = sinc_kernel(t[:, None], basis.nodes[None, :], basis.params.omega)
     core = (basis.weights * basis.samples[indices]) / basis.lambdas[indices, None]
     return core @ kernel.T
+
+
+def _panel_extension(basis: ProlateBasis, key, t) -> np.ndarray:
+    """``extension_matrix(basis, t)`` for nodes ``t`` fixed by the hashable ``key``.
+
+    The block is computed on first use and kept, read-only, on the basis.
+    """
+    block = basis._extension_blocks.get(key)
+    if block is None:
+        block = extension_matrix(basis, t)
+        block.flags.writeable = False
+        basis._extension_blocks[key] = block
+    return block
 
 
 def eval_psi(basis: ProlateBasis, n: int, t):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,11 +12,24 @@ import numpy as np
 _ENERGY_FLOOR = 1e-300
 
 
+@functools.lru_cache(maxsize=128)
+def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # read-only, since every caller shares the same arrays
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
+    """Gauss-Legendre nodes and weights on [a, b].
+
+    The reference rule on [-1, 1] is computed once per order and kept for
+    the 128 orders used most recently.
+    """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _reference_rule(operator.index(order))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -26,7 +41,13 @@ def panel_order_for(max_freq: float, width: float) -> int:
 
 @dataclass(frozen=True)
 class RealLineRule:
-    """Composite rule for integrals of a concrete function over the real line."""
+    """Composite rule for integrals of a concrete function over the real line.
+
+    ``panels`` lists the (lo, hi) edges of the Gauss-Legendre panels from left
+    to right; panel ``i`` holds nodes ``i * panel_order`` up to
+    ``(i + 1) * panel_order``.  A panel's nodes depend only on its edges and
+    ``panel_order``, never on the integrand.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -35,6 +56,8 @@ class RealLineRule:
     total_energy: float
     tail_energy: float
     converged: bool
+    panel_order: int
+    panels: tuple
 
     def integral(self) -> float:
         return float(np.dot(self.weights, self.values))
@@ -59,14 +82,13 @@ def real_line_rule(f, core_radius: float, *, max_freq: float | None = None,
         max_freq = 2.0 * math.pi / R
     order = panel_order if panel_order is not None else panel_order_for(max_freq, R)
 
-    edges = [-R, 0.0, R]
-    nodes_parts, weights_parts, values_parts = [], [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    def panel(lo, hi):
         x, w = gauss_legendre(order, lo, hi)
-        nodes_parts.append(x)
-        weights_parts.append(w)
-        values_parts.append(np.asarray(f(x), dtype=float))
-    total = sum(float(np.dot(w, v * v)) for w, v in zip(weights_parts, values_parts))
+        return (lo, hi), x, w, np.asarray(f(x), dtype=float)
+
+    # outermost panels last on each side
+    left, right = [panel(-R, 0.0)], [panel(0.0, R)]
+    total = sum(float(np.dot(w, v * v)) for _, _, w, v in left + right)
 
     radius = R
     marginal = math.inf
@@ -78,22 +100,15 @@ def real_line_rule(f, core_radius: float, *, max_freq: float | None = None,
             break
         if radius + R > cap * (1.0 + 1e-12):
             break
-        marginal = 0.0
-        for lo, hi in ((radius, radius + R), (-radius - R, -radius)):
-            x, w = gauss_legendre(order, lo, hi)
-            v = np.asarray(f(x), dtype=float)
-            nodes_parts.append(x)
-            weights_parts.append(w)
-            values_parts.append(v)
-            marginal += float(np.dot(w, v * v))
+        right.append(panel(radius, radius + R))
+        left.append(panel(-radius - R, -radius))
+        marginal = sum(float(np.dot(w, v * v)) for _, _, w, v in (right[-1], left[-1]))
         total += marginal
         radius += R
 
-    nodes = np.concatenate(nodes_parts)
-    weights = np.concatenate(weights_parts)
-    values = np.concatenate(values_parts)
-    idx = np.argsort(nodes, kind="stable")
-    return RealLineRule(nodes=nodes[idx], weights=weights[idx], values=values[idx],
-                        radius=radius, total_energy=total,
-                        tail_energy=0.0 if converged else marginal,
-                        converged=converged)
+    # panels are disjoint and each one's nodes ascend, so this is sorted order
+    edges, nodes, weights, values = zip(*(left[::-1] + right))
+    return RealLineRule(nodes=np.concatenate(nodes), weights=np.concatenate(weights),
+                        values=np.concatenate(values), radius=radius,
+                        total_energy=total, tail_energy=0.0 if converged else marginal,
+                        converged=converged, panel_order=order, panels=edges)

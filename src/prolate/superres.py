@@ -97,9 +97,24 @@ class TwoPulseModel:
         return np.array([self.tau, self.tau0, self.nu])
 
 
-def _psf_norm_error(psf, core_radius: float) -> float:
-    rule = real_line_rule(psf, core_radius, rel_tol=1e-9)
-    return abs(rule.total_energy - 1.0)
+def _require_unit_norm(psf, basis: ProlateBasis) -> None:
+    if not isinstance(psf, GaussianPsf):
+        err = abs(real_line_rule(psf, basis.params.T, rel_tol=1e-9).total_energy - 1.0)
+        if err > 1e-6:
+            raise ValueError(f"point spread function is not unit-norm (|error| = {err:.3e})")
+
+
+def _probe(model: TwoPulseModel, basis: ProlateBasis, rel_tol: float = 1e-11) -> ProbeState:
+    # probe_from_model without the norm check, for callers that made it once
+    shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
+    rows = []
+    for s in shifts:
+        g = project(lambda t, _s=s: np.asarray(model.psf(t - _s), dtype=float),
+                    basis, rel_tol=rel_tol)
+        rows.append(g.coeffs)
+    return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
+                      modes=np.vstack(rows), orthogonal=False,
+                      params=basis.params)
 
 
 def probe_from_model(model: TwoPulseModel, basis: ProlateBasis, *,
@@ -110,19 +125,8 @@ def probe_from_model(model: TwoPulseModel, basis: ProlateBasis, *,
     with weights (nu, 1 - nu).  The rows overlap for small tau, so this is a
     non-orthogonal convex decomposition -- probabilities do not care.
     """
-    if not isinstance(model.psf, GaussianPsf):
-        err = _psf_norm_error(model.psf, basis.params.T)
-        if err > 1e-6:
-            raise ValueError(f"point spread function is not unit-norm (|error| = {err:.3e})")
-    shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
-    rows = []
-    for s in shifts:
-        g = project(lambda t, _s=s: np.asarray(model.psf(t - _s), dtype=float),
-                    basis, rel_tol=rel_tol)
-        rows.append(g.coeffs)
-    return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
-                      modes=np.vstack(rows), orthogonal=False,
-                      params=basis.params)
+    _require_unit_norm(model.psf, basis)
+    return _probe(model, basis, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -395,6 +399,8 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         raise IdentifiabilityError(
             f"separation tau = {model.tau!r} below the floor {tau_floor!r}; "
             f"parameters are not identifiable in this regime")
+    # every model evaluation below shares this pulse
+    _require_unit_norm(model.psf, basis)
 
     if regime == "ideal":
         def route(probe):
@@ -408,7 +414,7 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
 
     def prob_model(theta):
         m = replace(model, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
-        p = route(probe_from_model(m, basis))
+        p = route(_probe(m, basis))
         return p if include_leakage else p[:-1]
 
     return fisher_matrix(prob_model, model.theta, steps,

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prolate
 from prolate import lambda0_curve
 from prolate.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main,
                          parse_grid)
@@ -17,6 +22,18 @@ def read_rows(path):
                 continue
             rows.append(line.strip().split(","))
     return rows[0], rows[1:]
+
+
+@pytest.mark.parametrize("module", ["prolate", "prolate.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    env = dict(os.environ, PYTHONPATH=str(Path(prolate.__file__).parents[1]))
+    out = tmp_path / "spec.csv"
+    proc = subprocess.run([sys.executable, "-m", module, "spectrum", "--c", "5",
+                           "--out", str(out)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    header, rows = read_rows(out)
+    assert header == ["c", "n", "lambda"] and rows
 
 
 def test_parse_grid():
