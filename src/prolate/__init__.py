@@ -11,7 +11,7 @@ from .bandlimited import BandlimitedFunction, band_energy_fraction, project, syn
 from .basis import (LAMBDA_FLOOR, ProlateBasis, build_basis, default_quad_order,
                     eval_psi, extension_matrix, lambda0_curve, plunge_index,
                     sinc_kernel, sinc_kernel_dt)
-from .errors import (EigensolverError, FiniteDifferenceError, IdentifiabilityError,
+from .errors import (EigensolverError, IdentifiabilityError,
                      PovmValidityError, ProlateError, QuadratureError,
                      RankDeficiencyError, SingularFisherError)
 from .hermite import HermiteGaussMode, hermite_function, hermite_polynomial, hg_eval
@@ -32,7 +32,7 @@ __all__ = [
     "LAMBDA_FLOOR", "ProlateBasis", "build_basis", "default_quad_order",
     "eval_psi", "extension_matrix", "lambda0_curve", "plunge_index",
     "sinc_kernel", "sinc_kernel_dt",
-    "EigensolverError", "FiniteDifferenceError", "IdentifiabilityError",
+    "EigensolverError", "IdentifiabilityError",
     "PovmValidityError", "ProlateError", "QuadratureError",
     "RankDeficiencyError", "SingularFisherError",
     "HermiteGaussMode", "hermite_function", "hermite_polynomial", "hg_eval",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProlateBasis, _panel_extension, extension_matrix
+from .basis import ProlateBasis, _kernel_derivatives, _panel_extension, extension_matrix
 from .errors import QuadratureError
 from .params import SlepianParams
 from .quadrature import gauss_legendre, real_line_rule
@@ -75,13 +75,25 @@ def project(f, basis: ProlateBasis, *, bandlimited: bool = False,
         If the energy tail of a generic ``f`` is still above tolerance at the
         radius cap; the achieved tolerance is reported.
     """
-    _require_all_extendable(basis)
-    T = basis.params.T
     if bandlimited:
+        _require_all_extendable(basis)
         fvals = np.asarray(f(basis.nodes), dtype=float)
         coeffs = (basis.samples * basis.weights) @ fvals / basis.lambdas
         return BandlimitedFunction(params=basis.params, coeffs=coeffs)
+    coeffs = _real_line_coeffs(f, basis, 0, rel_tol=rel_tol, max_radius=max_radius)[0]
+    return BandlimitedFunction(params=basis.params, coeffs=coeffs)
 
+
+def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int, *, rel_tol: float = 1e-11,
+                      max_radius: float | None = None) -> np.ndarray:
+    """Rows <f^(m), psi_n> for m = 0..n_derivs, from samples of f alone.
+
+    Each psi_n = sum_j a_jn K(t - z_j) is a Nystrom extension, so integration
+    by parts puts the derivatives on the kernel:
+    <f^(m), psi_n> = (-1)^m sum_j a_jn int f(t) K^(m)(t - z_j) dt.
+    """
+    _require_all_extendable(basis)
+    T = basis.params.T
     rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T,
                           rel_tol=rel_tol, max_radius=max_radius)
     if not rule.converged:
@@ -91,14 +103,24 @@ def project(f, basis: ProlateBasis, *, bandlimited: bool = False,
             f"pass bandlimited=True if f is bandlimited, or raise max_radius",
             achieved=achieved)
     # panel nodes depend only on T and the panel order, fixed per basis, so
-    # the extension onto each panel is computed once and reused
+    # the extension onto each panel is computed once and reused; kernel
+    # derivatives are not kept, so only one panel's worth lives at a time
     wv = rule.weights * rule.values
     m = rule.panel_order
     coeffs = np.zeros(basis.n_modes)
+    kernel_sums = np.zeros((n_derivs, basis.nodes.size))
     for i, edges in enumerate(rule.panels):
         part = slice(i * m, (i + 1) * m)
-        coeffs += _panel_extension(basis, (m, edges), rule.nodes[part]) @ wv[part]
-    return BandlimitedFunction(params=basis.params, coeffs=coeffs)
+        t = rule.nodes[part]
+        coeffs += _panel_extension(basis, (m, edges), t) @ wv[part]
+        if n_derivs:
+            kernel_sums += wv[part] @ _kernel_derivatives(
+                t[:, None], basis.nodes[None, :], basis.params.omega, n_derivs)
+    if not n_derivs:
+        return coeffs[None, :]
+    core = (basis.weights * basis.samples) / basis.lambdas[:, None]
+    signs = (-1.0) ** np.arange(1, n_derivs + 1)
+    return np.vstack([coeffs, signs[:, None] * (kernel_sums @ core.T)])
 
 
 def synthesize(g: BandlimitedFunction, basis: ProlateBasis, t):

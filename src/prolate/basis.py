@@ -55,15 +55,35 @@ def sinc_kernel(t, z, omega: float):
 
 def sinc_kernel_dt(t, z, omega: float):
     """Derivative of the kernel with respect to its first argument."""
+    return _kernel_derivatives(t, z, omega, 1)[0]
+
+
+def _kernel_derivatives(t, z, omega: float, n: int) -> np.ndarray:
+    """Derivatives of orders 1..n of ``sinc_kernel`` in t, stacked on a new first axis.
+
+    The kernel is (omega/pi) s(omega (t - z)) with s(u) = sin(u)/u.  For
+    |u| > 1 the recurrence u s^(m) + m s^(m-1) = sin^(m)(u) is stable; closer
+    to 0, s^(m)(u) = int_0^1 x^m cos^(m)(u x) dx on a fixed 12-point rule.
+    """
     if not (omega > 0.0):
         raise ValueError("omega must be positive")
-    x = np.subtract(t, z, dtype=float)
-    u = omega * x
-    small = np.abs(u) < 1e-4
-    u_safe = np.where(small, 1.0, u)
-    exact = (u_safe * np.cos(u_safe) - np.sin(u_safe)) / (u_safe * u_safe)
-    series = u * (-1.0 / 3.0 + u * u / 30.0)
-    return (omega * omega / np.pi) * np.where(small, series, exact)
+    u = omega * np.asarray(np.subtract(t, z, dtype=float))
+    small = np.abs(u) <= 1.0
+    u_big = np.where(small, 1.0, u)
+    sin, cos = np.sin(u_big), np.cos(u_big)
+    x, w = gauss_legendre(12, 0.0, 1.0)
+    ux = np.multiply.outer(u[small], x)
+    sin_ux, cos_ux = np.sin(ux), np.cos(ux)
+    out = np.empty((n,) + u.shape)
+    s = sin / u_big
+    for m in range(1, n + 1):
+        # m-th derivatives: sin^(m) = +-(cos or sin), cos^(m) = +-(sin or cos)
+        trig, trig_ux = (cos, sin_ux) if m % 2 else (sin, cos_ux)
+        s = ((-1) ** (m // 2) * trig - m * s) / u_big
+        out[m - 1] = s
+        out[m - 1, small] = (-1) ** ((m + 1) // 2) * ((trig_ux * x ** m) @ w)
+        out[m - 1] *= omega ** (m + 1) / np.pi
+    return out
 
 
 def plunge_index(c: float) -> int:
@@ -123,10 +143,6 @@ class ProlateBasis:
             raise EigensolverError(
                 f"lambda_{n} = {self.lambdas[n]:.3e} is below the extension floor "
                 f"{self.lambda_floor:.1e}; the mode cannot be evaluated off-grid")
-
-    def window_gram(self) -> np.ndarray:
-        """Window inner products sum_j w_j psi_n psi_m; equals diag(lambdas)."""
-        return (self.samples * self.weights) @ self.samples.T
 
 
 def build_basis(params: SlepianParams, n_max: int | None = None,

@@ -21,16 +21,6 @@ class EigensolverError(ProlateError):
     """Kernel eigendecomposition failed or cannot deliver the requested modes."""
 
 
-class FiniteDifferenceError(ProlateError):
-    """Numerical differentiation noise exceeded the configured tolerance."""
-
-    def __init__(self, message: str, noise: float | None = None):
-        if noise is not None:
-            message = f"{message} (noise estimate {noise:.3e})"
-        super().__init__(message)
-        self.noise = noise
-
-
 class RankDeficiencyError(ProlateError):
     """Vectors handed to an orthonormalization step are linearly dependent."""
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import LAMBDA_FLOOR, ProlateBasis
 from .bandlimited import BandlimitedFunction
-from .metrology import DEFAULT_P_FLOOR, POVM_SLACK, PROB_SLACK, FisherMatrix
+from .metrology import DEFAULT_P_FLOOR, POVM_SLACK, PROB_SLACK
 from .params import SlepianParams
 
 SCHEMA_VERSION = 1
@@ -71,16 +71,6 @@ def bandlimited_from_dict(doc: dict) -> BandlimitedFunction:
     )
 
 
-def fisher_to_dict(fisher: FisherMatrix) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "labels": list(fisher.labels),
-        "steps": fisher.steps.tolist(),
-        "excluded_outcomes": list(fisher.excluded_outcomes),
-        "matrix": fisher.matrix.tolist(),
-    }
-
-
 def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -110,25 +100,6 @@ def csv_table(header, rows, meta: dict | None = None) -> str:
 def write_csv(path, header, rows, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(csv_table(header, rows, meta))
-
-
-def write_fisher_csv(path, fisher: FisherMatrix) -> None:
-    header = ["parameter"] + list(fisher.labels)
-    rows = [[lab] + list(row) for lab, row in zip(fisher.labels, fisher.matrix)]
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "steps": ";".join(format_number(s) for s in fisher.steps),
-        "excluded_outcomes": ";".join(str(i) for i in fisher.excluded_outcomes),
-    }
-    write_csv(path, header, rows, meta)
-
-
-def write_probability_csv(path, probs, meta: dict | None = None) -> None:
-    doc_meta = {"schema_version": SCHEMA_VERSION}
-    if meta:
-        doc_meta.update(meta)
-    rows = [(i, p) for i, p in enumerate(np.asarray(probs, dtype=float))]
-    write_csv(path, ["outcome", "probability"], rows, doc_meta)
 
 
 def sha256_of(path) -> str:

@@ -27,13 +27,3 @@ class SlepianParams:
     def omega(self) -> float:
         return self.c / self.T
 
-    @classmethod
-    def from_bandwidth(cls, omega: float, T: float) -> "SlepianParams":
-        """Build from an explicit bandwidth; c = omega * T."""
-        return cls(c=omega * T, T=T)
-
-    def rescaled(self, s: float) -> "SlepianParams":
-        """Stretch time by s (T -> sT, omega -> omega/s); c is unchanged."""
-        if not (s > 0.0):
-            raise ValueError("scale factor must be positive")
-        return SlepianParams(c=self.c, T=self.T * s)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ProlateBasis
-from .bandlimited import project
-from .errors import (FiniteDifferenceError, IdentifiabilityError,
-                     PovmValidityError, RankDeficiencyError)
+from .bandlimited import _real_line_coeffs, project
+from .errors import IdentifiabilityError, PovmValidityError, RankDeficiencyError
 from .hermite import hermite_polynomial
 from .metrology import (FisherMatrix, Povm, PovmElement, ProbeState,
                         fisher_matrix, probabilities_ideal,
@@ -155,59 +154,26 @@ class DerivativeBasis:
         return self.phi
 
 
-def _fd_derivative(psf, order: int, h: float):
-    if order == 0:
-        return lambda t: np.asarray(psf(t), dtype=float)
-    if order == 1:
-        return lambda t: (psf(t + h) - psf(t - h)) / (2.0 * h)
-    if order == 2:
-        return lambda t: (psf(t + h) - 2.0 * psf(t) + psf(t - h)) / (h * h)
-    if order == 3:
-        return lambda t: (psf(t + 2 * h) - 2.0 * psf(t + h)
-                          + 2.0 * psf(t - h) - psf(t - 2 * h)) / (2.0 * h ** 3)
-    raise ValueError("finite differences implemented up to order 3")
-
-
-def gamma_modes(model: TwoPulseModel, basis: ProlateBasis, n_derivs: int = 3, *,
-                fd_step: float | None = None, fd_tol: float = 1e-3) -> DerivativeBasis:
+def gamma_modes(model: TwoPulseModel, basis: ProlateBasis, n_derivs: int = 3) -> DerivativeBasis:
     """Project the derivative family d^n/dt^n Psf(t - tau0), n = 0..n_derivs.
 
-    Pulses exposing a ``derivative(n)`` method use it exactly; generic pulses
-    fall back to central finite differences with step ``fd_step`` (default
-    T/50) plus one Richardson step.  The step-halving change must stay below
-    ``fd_tol`` relative to each row norm, or the noise is reported.
+    A pulse with a ``derivative(n)`` method has each derivative projected.
+    Any other pulse is sampled once and its rows n >= 1 are exact derivatives
+    of the Nystrom extension, integrated by parts: no step size enters.  That
+    route loses digits as (omega sigma)^n / lambda_min at large c, so exact
+    pulse derivatives are used whenever the pulse has them.
     """
     if n_derivs < 0:
         raise ValueError("n_derivs must be >= 0")
-    shift = model.tau0
 
-    def rows_for(step: float | None) -> np.ndarray:
-        rows = []
-        for n in range(n_derivs + 1):
-            if step is None:
-                dn = model.psf.derivative(n)
-            else:
-                dn = _fd_derivative(model.psf, n, step)
-            g = project(lambda t, _f=dn: np.asarray(_f(t - shift), dtype=float), basis)
-            rows.append(g.coeffs)
-        return np.vstack(rows)
+    def shifted(f):
+        return lambda t: np.asarray(f(t - model.tau0), dtype=float)
 
     if hasattr(model.psf, "derivative"):
-        gamma = rows_for(None)
+        gamma = np.vstack([project(shifted(model.psf.derivative(n)), basis).coeffs
+                           for n in range(n_derivs + 1)])
     else:
-        h = fd_step if fd_step is not None else basis.params.T / 50.0
-        coarse = rows_for(h)
-        fine = rows_for(0.5 * h)
-        scale = np.linalg.norm(fine, axis=1)
-        noise = float(np.max(np.linalg.norm(coarse - fine, axis=1)
-                             / np.maximum(scale, 1e-300)))
-        if noise > fd_tol:
-            raise FiniteDifferenceError(
-                "finite-difference derivative modes did not stabilize under "
-                "step halving; supply an analytic derivative or adjust fd_step",
-                noise=noise)
-        # one Richardson step: cancels the h^2 truncation term
-        gamma = (4.0 * fine - coarse) / 3.0
+        gamma = _real_line_coeffs(shifted(model.psf), basis, n_derivs)
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 

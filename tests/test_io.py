@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from prolate import (BandlimitedFunction, SlepianParams, build_basis, eval_psi,
-                     fisher_matrix)
+from prolate import BandlimitedFunction, SlepianParams, build_basis, eval_psi
 from prolate import io as pio
 
 
@@ -71,21 +70,6 @@ def test_csv_deterministic(tmp_path):
     text = a.read_text()
     assert text.startswith("# schema_version=1\nx,n,y\n")
     assert repr(math.pi) in text
-
-
-def test_fisher_exports(tmp_path):
-    fm = fisher_matrix(lambda th: np.array([th[0], 1.0 - th[0]]), [0.3],
-                       labels=("p",))
-    doc = pio.fisher_to_dict(fm)
-    assert doc["labels"] == ["p"]
-    assert doc["matrix"][0][0] == fm.matrix[0, 0]
-    path = tmp_path / "fisher.csv"
-    pio.write_fisher_csv(path, fm)
-    lines = path.read_text().splitlines()
-    assert lines[-1].startswith("p,")
-    ppath = tmp_path / "probs.csv"
-    pio.write_probability_csv(ppath, [0.25, 0.75], {"tag": "demo"})
-    assert "outcome,probability" in ppath.read_text()
 
 
 def test_manifest_records_hashes(tmp_path):

@@ -8,24 +8,12 @@ from prolate import (Povm, PovmElement, ProbeState, SlepianParams, build_basis,
 def test_omega_always_derived():
     p = SlepianParams(c=6.0, T=2.0)
     assert p.omega == 3.0
-    q = SlepianParams.from_bandwidth(omega=3.0, T=2.0)
-    assert q == p
 
 
 def test_rejects_nonpositive():
     for c, T in ((0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -3.0)):
         with pytest.raises(ValueError):
             SlepianParams(c=c, T=T)
-
-
-def test_rescaling_preserves_c():
-    p = SlepianParams(c=4.0, T=1.0)
-    q = p.rescaled(2.0)
-    assert q.c == p.c
-    assert q.T == 2.0
-    assert q.omega == p.omega / 2.0
-    with pytest.raises(ValueError):
-        p.rescaled(0.0)
 
 
 def test_dimensionless_outputs_invariant_under_rescaling():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prolate import (FiniteDifferenceError, GaussianPsf, HermiteGaussMode,
+from prolate import (GaussianPsf, HermiteGaussMode,
                      IdentifiabilityError, MeasurementDesign, PovmValidityError,
                      ProbeState, RankDeficiencyError, SingularFisherError,
                      SlepianParams, TwoPulseModel, build_basis, crb,
@@ -40,7 +40,7 @@ def sample_design(row2=(0.55, 0.55, 0.0, 0.0)):
 
 
 class PlainGaussian:
-    """Gaussian without a derivative method, to force the FD route."""
+    """Gaussian without a derivative method, to force the integration-by-parts route."""
 
     def __init__(self, sigma):
         self.sigma = sigma
@@ -48,6 +48,32 @@ class PlainGaussian:
     def __call__(self, t):
         s2 = self.sigma ** 2
         return (2.0 * math.pi * s2) ** -0.25 * np.exp(-np.asarray(t, float) ** 2 / (4.0 * s2))
+
+
+class SechPsf:
+    """Unit-norm sech(t/a)/sqrt(2a) with closed-form derivatives up to order 3."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def __call__(self, t):
+        return 1.0 / (math.sqrt(2.0 * self.a) * np.cosh(np.asarray(t, float) / self.a))
+
+    def derivative(self, n):
+        # with S = sech x and T = tanh x, the derivatives of S of orders 1..3
+        # are -S T, S (2 T^2 - 1) and S T (5 - 6 T^2)
+        poly = {0: lambda x: 1.0, 1: lambda x: -x, 2: lambda x: 2 * x * x - 1,
+                3: lambda x: x * (5 - 6 * x * x)}[n]
+        return lambda t: self(t) * poly(np.tanh(np.asarray(t, float) / self.a)) / self.a ** n
+
+
+def plain(psf):
+    """The pulse as a bare callable, without its derivative method."""
+    return lambda t: psf(t)
+
+
+def row_errors(a, b):
+    return np.linalg.norm(a.gamma - b.gamma, axis=1) / np.linalg.norm(a.gamma, axis=1)
 
 
 class TestGaussianPsf:
@@ -114,21 +140,51 @@ class TestGammaModes:
         cosang = abs(np.dot(g0, g1)) / (np.linalg.norm(g0) * np.linalg.norm(g1))
         assert cosang < 1e-8
 
-    def test_fd_route_matches_analytic(self, b5):
-        sigma = default_psf_sigma(5.0)
-        m_exact = TwoPulseModel(GaussianPsf(sigma), tau=0.3, tau0=0.1)
-        m_plain = TwoPulseModel(PlainGaussian(sigma), tau=0.3, tau0=0.1)
-        exact = gamma_modes(m_exact, b5)
-        fd = gamma_modes(m_plain, b5)
-        for n in range(4):
-            rel = (np.linalg.norm(exact.gamma[n] - fd.gamma[n])
-                   / np.linalg.norm(exact.gamma[n]))
-            assert rel < 1e-6
+    def test_generic_route_matches_analytic(self, basis_cache):
+        # integration by parts against the Nystrom extension has no step size;
+        # its error grows like (omega sigma)^n over the smallest eigenvalue
+        for c, tol in ((1.2, 1e-9), (2.5, 1e-9), (5.0, 1e-9), (12.0, 1e-9),
+                       (20.0, 1e-9), (45.0, 1e-7)):
+            b = basis_cache(c)
+            sigma = default_psf_sigma(c)
+            exact = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3, tau0=0.1), b)
+            generic = gamma_modes(TwoPulseModel(PlainGaussian(sigma), tau=0.3, tau0=0.1), b)
+            assert np.array_equal(generic.gamma[0], exact.gamma[0])
+            assert np.max(row_errors(exact, generic)) < tol, c
 
-    def test_fd_noise_guard(self, b5):
-        m_plain = TwoPulseModel(PlainGaussian(default_psf_sigma(5.0)), tau=0.3)
-        with pytest.raises(FiniteDifferenceError):
-            gamma_modes(m_plain, b5, fd_step=1e-12)
+    def test_sech_routes_agree(self, basis_cache):
+        for c in (2.5, 6.0):
+            b = basis_cache(c)
+            psf = SechPsf(default_psf_sigma(c))
+            t = np.linspace(-1.0, 1.0, 9)
+            h = 1e-5
+            for n in (1, 2, 3):  # the closed forms themselves, by central differences
+                fd = (psf.derivative(n - 1)(t + h) - psf.derivative(n - 1)(t - h)) / (2 * h)
+                assert np.allclose(psf.derivative(n)(t), fd, rtol=1e-6, atol=1e-6)
+            exact = gamma_modes(TwoPulseModel(psf, tau=0.2, tau0=-0.05), b)
+            generic = gamma_modes(TwoPulseModel(plain(psf), tau=0.2, tau0=-0.05), b)
+            assert np.max(row_errors(exact, generic)) < 1e-9, c
+
+    def test_former_step_size_failures_run_through(self, basis_cache):
+        # a fixed finite-difference step of T/50 could not resolve these widths
+        design = sample_design()
+        gauss = basis_cache(10.0)
+        sigma = default_psf_sigma(10.0)
+        fishers = []
+        for psf in (GaussianPsf(sigma), PlainGaussian(sigma)):
+            model = TwoPulseModel(psf, tau=0.2)
+            povm = optimal_povm(design, gram_schmidt(gamma_modes(model, gauss)))
+            fishers.append(superres_fisher(model, povm, gauss, "limited").matrix)
+        ref, got = fishers
+        assert np.max(np.abs(got - ref)) < 1e-7 * np.max(np.abs(ref))
+
+        b6 = basis_cache(6.0)
+        width = default_psf_sigma(6.0)
+        model = TwoPulseModel(plain(SechPsf(width)), tau=0.2)
+        povm = optimal_povm(design, gram_schmidt(gamma_modes(model, b6)))
+        fm = superres_fisher(model, povm, b6, "limited", tau_floor=1e-4 * width)
+        assert np.all(np.isfinite(fm.matrix))
+        assert np.all(np.diag(fm.matrix) > 0.0)
 
 
 class TestGramSchmidt:
