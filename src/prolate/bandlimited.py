@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProlateBasis, _kernel_derivatives, _panel_extension, extension_matrix
+from .basis import ProlateBasis, _kernel_derivatives, extension_matrix
 from .errors import QuadratureError
 from .params import SlepianParams
 from .quadrature import gauss_legendre, real_line_rule
@@ -102,25 +102,46 @@ def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int, *, rel_tol: float =
             f"tail of the integrand still significant at radius {rule.radius:g}; "
             f"pass bandlimited=True if f is bandlimited, or raise max_radius",
             achieved=achieved)
-    # panel nodes depend only on T and the panel order, fixed per basis, so
-    # the extension onto each panel is computed once and reused; kernel
-    # derivatives are not kept, so only one panel's worth lives at a time
     wv = rule.weights * rule.values
-    m = rule.panel_order
-    coeffs = np.zeros(basis.n_modes)
-    kernel_sums = np.zeros((n_derivs, basis.nodes.size))
-    for i, edges in enumerate(rule.panels):
-        part = slice(i * m, (i + 1) * m)
-        t = rule.nodes[part]
-        coeffs += _panel_extension(basis, (m, edges), t) @ wv[part]
-        if n_derivs:
-            kernel_sums += wv[part] @ _kernel_derivatives(
-                t[:, None], basis.nodes[None, :], basis.params.omega, n_derivs)
+    coeffs = _extension_block(basis, rule) @ wv
     if not n_derivs:
         return coeffs[None, :]
+    # kernel derivatives are not kept, so only one panel's worth lives at a time
+    m = rule.panel_order
+    kernel_sums = np.zeros((n_derivs, basis.nodes.size))
+    for i in range(len(rule.panels)):
+        part = slice(i * m, (i + 1) * m)
+        kernel_sums += wv[part] @ _kernel_derivatives(
+            rule.nodes[part, None], basis.nodes[None, :], basis.params.omega, n_derivs)
     core = (basis.weights * basis.samples) / basis.lambdas[:, None]
     signs = (-1.0) ** np.arange(1, n_derivs + 1)
     return np.vstack([coeffs, signs[:, None] * (kernel_sums @ core.T)])
+
+
+def _extension_block(basis: ProlateBasis, rule) -> np.ndarray:
+    """``extension_matrix(basis, rule.nodes)``, cut from one block kept on the basis.
+
+    Every rule ``_real_line_coeffs`` builds on a basis has panels of width T
+    and one order, so its panels are the middle ones of any wider rule.  The
+    basis keeps one block per panel order, over the widest rule seen so far.
+    A wider rule grows it outward into a new array, one new panel at a time;
+    a published block is never written to.
+    """
+    m, n = rule.panel_order, rule.nodes.size
+    block = basis._extension_blocks.get(m)
+    if block is None or block.shape[1] < n:
+        have = 0 if block is None else block.shape[1]
+        inner = slice((n - have) // 2, (n + have) // 2)
+        grown = np.empty((basis.n_modes, n))
+        if have:
+            grown[:, inner] = block
+        for start in [*range(0, inner.start, m), *range(inner.stop, n, m)]:
+            part = slice(start, start + m)
+            grown[:, part] = extension_matrix(basis, rule.nodes[part])
+        grown.flags.writeable = False
+        basis._extension_blocks[m] = block = grown
+    lo = (block.shape[1] - n) // 2
+    return block[:, lo:lo + n]
 
 
 def synthesize(g: BandlimitedFunction, basis: ProlateBasis, t):

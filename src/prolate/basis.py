@@ -104,9 +104,11 @@ class ProlateBasis:
     """Computed family psi_0..psi_n_max for one (c, T) configuration.
 
     Immutable after construction; safe to share across threads.  It carries a
-    private, lazily filled cache of Nystrom extension blocks on fixed
-    real-line quadrature panels (see ``project``); two threads missing the
-    same block only compute it twice.
+    private, lazily filled cache: the Nystrom extension onto the panels of the
+    widest real-line rule ``project`` has used on it, one read-only block that
+    a wider rule replaces with a grown copy.  Two threads growing it at once
+    each build their own copy and the last one stored is kept; no result
+    changes, at worst the other copy's panels are extended again later.
 
     Attributes
     ----------
@@ -268,19 +270,6 @@ def extension_matrix(basis: ProlateBasis, t, indices=None) -> np.ndarray:
     kernel = sinc_kernel(t[:, None], basis.nodes[None, :], basis.params.omega)
     core = (basis.weights * basis.samples[indices]) / basis.lambdas[indices, None]
     return core @ kernel.T
-
-
-def _panel_extension(basis: ProlateBasis, key, t) -> np.ndarray:
-    """``extension_matrix(basis, t)`` for nodes ``t`` fixed by the hashable ``key``.
-
-    The block is computed on first use and kept, read-only, on the basis.
-    """
-    block = basis._extension_blocks.get(key)
-    if block is None:
-        block = extension_matrix(basis, t)
-        block.flags.writeable = False
-        basis._extension_blocks[key] = block
-    return block
 
 
 def eval_psi(basis: ProlateBasis, n: int, t):

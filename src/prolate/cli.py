@@ -91,12 +91,19 @@ def grid_values(start: float, stop: float, step: float) -> tuple:
     return tuple(start + i * step for i in range(count))
 
 
-def parse_grid(text: str) -> tuple:
+def grid_triple(grid) -> tuple:
+    """Validated (start, stop, step) from "START:STOP:STEP" text or three numbers."""
+    parts = grid.split(":") if isinstance(grid, str) else grid
     try:
-        start, stop, step = (float(x) for x in text.split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"grid must be start:stop:step, got {text!r}") from exc
-    return grid_values(start, stop, step)
+        start, stop, step = (float(x) for x in parts)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid must be start:stop:step, got {grid!r}") from exc
+    grid_values(start, stop, step)
+    return start, stop, step
+
+
+def parse_grid(text: str) -> tuple:
+    return grid_values(*grid_triple(text))
 
 
 def parse_floats(text: str, n: int, what: str) -> tuple:
@@ -211,13 +218,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.out = f"{args.command.replace('-', '_')}.{cfg.format}"
 
     if args.command == "hg-compare":
-        grid = getattr(args, "t_grid", None)
-        if grid:
-            triple = tuple(float(x) for x in grid.split(":"))
-            grid_values(*triple)  # validates
-            cfg.t_grid = triple
-        elif "t_grid" in file_cfg:
-            cfg.t_grid = tuple(float(x) for x in file_cfg["t_grid"])
+        grid = args.t_grid or file_cfg.get("t_grid")
+        if grid is not None:
+            cfg.t_grid = grid_triple(grid)
 
     if args.command == "superres":
         for key in _SUPERRES_KEYS:

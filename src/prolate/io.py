@@ -8,10 +8,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .basis import LAMBDA_FLOOR, ProlateBasis
-from .bandlimited import BandlimitedFunction
+from .basis import LAMBDA_FLOOR
 from .metrology import DEFAULT_P_FLOOR, POVM_SLACK, PROB_SLACK
-from .params import SlepianParams
 
 SCHEMA_VERSION = 1
 
@@ -23,52 +21,6 @@ def format_number(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
-
-
-def basis_to_dict(basis: ProlateBasis) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "c": basis.params.c,
-        "T": basis.params.T,
-        "n_max": basis.n_max,
-        "quad_order": basis.quad_order,
-        "lambdas": basis.lambdas.tolist(),
-        "nodes": basis.nodes.tolist(),
-        "weights": basis.weights.tolist(),
-        "samples": basis.samples.tolist(),
-    }
-
-
-def basis_from_dict(doc: dict) -> ProlateBasis:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    return ProlateBasis(
-        params=SlepianParams(c=float(doc["c"]), T=float(doc["T"])),
-        n_max=int(doc["n_max"]),
-        quad_order=int(doc["quad_order"]),
-        nodes=np.asarray(doc["nodes"], dtype=float),
-        weights=np.asarray(doc["weights"], dtype=float),
-        lambdas=np.asarray(doc["lambdas"], dtype=float),
-        samples=np.asarray(doc["samples"], dtype=float),
-    )
-
-
-def bandlimited_to_dict(g: BandlimitedFunction) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "c": g.params.c,
-        "T": g.params.T,
-        "coeffs": g.coeffs.tolist(),
-    }
-
-
-def bandlimited_from_dict(doc: dict) -> BandlimitedFunction:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    return BandlimitedFunction(
-        params=SlepianParams(c=float(doc["c"]), T=float(doc["T"])),
-        coeffs=np.asarray(doc["coeffs"], dtype=float),
-    )
 
 
 def dump_json(doc: dict) -> str:

@@ -81,14 +81,27 @@ def real_line_rule(f, core_radius: float, *, max_freq: float | None = None,
     if max_freq is None:
         max_freq = 2.0 * math.pi / R
     order = panel_order if panel_order is not None else panel_order_for(max_freq, R)
+    if order < 1:
+        raise ValueError("quadrature order must be >= 1")
+    x, w = _reference_rule(operator.index(order))
+    x1 = x + 1.0
 
-    def panel(lo, hi):
-        x, w = gauss_legendre(order, lo, hi)
-        return (lo, hi), x, w, np.asarray(f(x), dtype=float)
+    def pair(left, right):
+        # both panels of one growth step, sampled in one call to f; nodes and
+        # weights come out exactly as gauss_legendre(order, lo, hi) makes them
+        (a, b), (c, d) = left, right
+        hl, hr = 0.5 * (b - a), 0.5 * (d - c)
+        xl, xr = a + hl * x1, c + hr * x1
+        v = np.asarray(f(np.concatenate((xl, xr))), dtype=float)
+        return (left, xl, hl * w, v[:order]), (right, xr, hr * w, v[order:])
+
+    def energy(panel):
+        _, _, wp, v = panel
+        return float(np.dot(wp, v * v))
 
     # outermost panels last on each side
-    left, right = [panel(-R, 0.0)], [panel(0.0, R)]
-    total = sum(float(np.dot(w, v * v)) for _, _, w, v in left + right)
+    left, right = ([p] for p in pair((-R, 0.0), (0.0, R)))
+    total = energy(left[0]) + energy(right[0])
 
     radius = R
     marginal = math.inf
@@ -100,9 +113,10 @@ def real_line_rule(f, core_radius: float, *, max_freq: float | None = None,
             break
         if radius + R > cap * (1.0 + 1e-12):
             break
-        right.append(panel(radius, radius + R))
-        left.append(panel(-radius - R, -radius))
-        marginal = sum(float(np.dot(w, v * v)) for _, _, w, v in (right[-1], left[-1]))
+        lo, hi = pair((-radius - R, -radius), (radius, radius + R))
+        left.append(lo)
+        right.append(hi)
+        marginal = energy(hi) + energy(lo)
         total += marginal
         radius += R
 

@@ -103,17 +103,18 @@ def _require_unit_norm(psf, basis: ProlateBasis) -> None:
             raise ValueError(f"point spread function is not unit-norm (|error| = {err:.3e})")
 
 
-def _probe(model: TwoPulseModel, basis: ProlateBasis, rel_tol: float = 1e-11) -> ProbeState:
-    # probe_from_model without the norm check, for callers that made it once
-    shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
-    rows = []
-    for s in shifts:
-        g = project(lambda t, _s=s: np.asarray(model.psf(t - _s), dtype=float),
-                    basis, rel_tol=rel_tol)
-        rows.append(g.coeffs)
+def _probe(model: TwoPulseModel, basis: ProlateBasis, rel_tol: float = 1e-11,
+           modes: np.ndarray | None = None) -> ProbeState:
+    # probe_from_model without the norm check, for callers that made it once;
+    # ``modes`` passes rows already projected for the same tau and tau0
+    if modes is None:
+        shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
+        modes = np.vstack([
+            project(lambda t, _s=s: np.asarray(model.psf(t - _s), dtype=float),
+                    basis, rel_tol=rel_tol).coeffs
+            for s in shifts])
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
-                      modes=np.vstack(rows), orthogonal=False,
-                      params=basis.params)
+                      modes=modes, orthogonal=False, params=basis.params)
 
 
 def probe_from_model(model: TwoPulseModel, basis: ProlateBasis, *,
@@ -378,9 +379,14 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         def route(probe):
             return probabilities_truncated(probe, povm, basis.params.c)
 
+    # the steps in nu keep theta's shifts, so rows are projected once per (tau, tau0)
+    rows = {}
+
     def prob_model(theta):
         m = replace(model, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
-        p = route(_probe(m, basis))
+        probe = _probe(m, basis, modes=rows.get((m.tau, m.tau0)))
+        rows[m.tau, m.tau0] = probe.modes
+        p = route(probe)
         return p if include_leakage else p[:-1]
 
     return fisher_matrix(prob_model, model.theta, steps,

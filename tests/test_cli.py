@@ -231,3 +231,20 @@ class TestDeterminismAndConfig:
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
         assert main(["superres", "--c", "2", "--tau", "0.2",
                      "--design", "1,2,3", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("source, grid", [("flag", "1:2"), ("file", [1, 2]),
+                                              ("file", [2, 1, 0.1])],
+                             ids=["flag-two-numbers", "file-two-numbers",
+                                  "file-descending"])
+    def test_malformed_t_grid_is_config_error(self, tmp_path, capsys, source, grid):
+        out = tmp_path / "hg.csv"
+        argv = ["hg-compare", "--c", "5", "--out", str(out)]
+        if source == "flag":
+            argv += ["--t-grid", grid]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"t_grid": grid}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
