@@ -12,6 +12,9 @@ from .errors import QuadratureError
 from .params import SlepianParams
 from .quadrature import gauss_legendre, real_line_rule
 
+#: energy-tail share at which band_energy_fraction stops growing its domain
+ENERGY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BandlimitedFunction:
@@ -23,10 +26,6 @@ class BandlimitedFunction:
     def __post_init__(self):
         object.__setattr__(self, "coeffs",
                            np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-
-    @property
-    def n_max(self) -> int:
-        return self.coeffs.size - 1
 
     def energy(self) -> float:
         """Whole-line energy of the represented function (Parseval)."""
@@ -46,8 +45,7 @@ def _require_all_extendable(basis: ProlateBasis) -> None:
             f"rebuild with automatic n_max or a smaller index range")
 
 
-def project(f, basis: ProlateBasis, *, bandlimited: bool = False,
-            rel_tol: float = 1e-11, max_radius: float | None = None) -> BandlimitedFunction:
+def project(f, basis: ProlateBasis, *, bandlimited: bool = False) -> BandlimitedFunction:
     """Project a function of time onto the prolate basis.
 
     Coefficients are the whole-line inner products with psi_n, so for inputs
@@ -65,27 +63,24 @@ def project(f, basis: ProlateBasis, *, bandlimited: bool = False,
         rule resolves to machine precision.  Slowly decaying bandlimited
         inputs are hopeless for truncated real-line quadrature, so use this
         whenever it applies.
-    rel_tol, max_radius
-        Tail-energy tolerance and radius cap (default 20 T) of the real-line
-        rule used for generic inputs.
 
     Raises
     ------
     QuadratureError
         If the energy tail of a generic ``f`` is still above tolerance at the
-        radius cap; the achieved tolerance is reported.
+        radius cap of ``quadrature.RADIUS_CAP`` windows; the achieved tolerance is
+        reported.
     """
     if bandlimited:
         _require_all_extendable(basis)
         fvals = np.asarray(f(basis.nodes), dtype=float)
         coeffs = (basis.samples * basis.weights) @ fvals / basis.lambdas
         return BandlimitedFunction(params=basis.params, coeffs=coeffs)
-    coeffs = _real_line_coeffs(f, basis, 0, rel_tol=rel_tol, max_radius=max_radius)[0]
+    coeffs = _real_line_coeffs(f, basis, 0)[0]
     return BandlimitedFunction(params=basis.params, coeffs=coeffs)
 
 
-def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int, *, rel_tol: float = 1e-11,
-                      max_radius: float | None = None) -> np.ndarray:
+def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int) -> np.ndarray:
     """Rows <f^(m), psi_n> for m = 0..n_derivs, from samples of f alone.
 
     Each psi_n = sum_j a_jn K(t - z_j) is a Nystrom extension, so integration
@@ -94,13 +89,12 @@ def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int, *, rel_tol: float =
     """
     _require_all_extendable(basis)
     T = basis.params.T
-    rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T,
-                          rel_tol=rel_tol, max_radius=max_radius)
+    rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T)
     if not rule.converged:
         achieved = math.sqrt(rule.tail_energy / max(rule.total_energy, 1e-300))
         raise QuadratureError(
             f"tail of the integrand still significant at radius {rule.radius:g}; "
-            f"pass bandlimited=True if f is bandlimited, or raise max_radius",
+            "pass bandlimited=True if f is bandlimited",
             achieved=achieved)
     wv = rule.weights * rule.values
     coeffs = _extension_block(basis, rule) @ wv
@@ -147,9 +141,6 @@ def _extension_block(basis: ProlateBasis, rule) -> np.ndarray:
 def synthesize(g: BandlimitedFunction, basis: ProlateBasis, t):
     """Evaluate sum_n g_n psi_n(t) for scalar or array t."""
     _require_same_params(g.params, basis.params)
-    if g.coeffs.size > basis.n_modes:
-        raise ValueError(f"coefficient vector of length {g.coeffs.size} exceeds "
-                         f"the basis mode count {basis.n_modes}")
     t_arr = np.asarray(t, dtype=float)
     psi = extension_matrix(basis, t_arr.ravel(), np.arange(g.coeffs.size))
     vals = g.coeffs @ psi
@@ -158,10 +149,7 @@ def synthesize(g: BandlimitedFunction, basis: ProlateBasis, t):
     return vals.reshape(t_arr.shape)
 
 
-def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None,
-                         energy_tol: float = 1e-10, core_radius: float | None = None,
-                         max_radius: float | None = None,
-                         n_omega: int | None = None) -> float:
+def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None) -> float:
     """Fraction of spectral energy of ``f`` inside the band [-omega, omega].
 
     Two input forms are supported:
@@ -171,9 +159,10 @@ def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None,
       frequency integral against the exact Parseval energy of the
       coefficients -- no real-line truncation enters at all;
     * a generic callable: the transform is taken by quadrature over a domain
-      grown until the truncated energy tail is below ``energy_tol`` of the
-      total; a QuadratureError reports the achieved tolerance when the cap
-      (default 20x the core radius) cannot meet the budget.
+      grown in panels of width T (1 without a basis) until the truncated
+      energy tail is below ``ENERGY_TOL`` of the total; a QuadratureError
+      reports the achieved tolerance when the cap of
+      ``quadrature.RADIUS_CAP`` panels cannot meet the budget.
     """
     if not (omega > 0.0):
         raise ValueError("omega must be positive")
@@ -182,15 +171,13 @@ def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None,
         if basis is None:
             raise ValueError("basis is required to evaluate a BandlimitedFunction")
         _require_same_params(f.params, basis.params)
-        if f.coeffs.size > basis.n_modes:
-            raise ValueError("coefficient vector longer than the basis")
         for n in range(f.coeffs.size):
             basis.require_extendable(n)
         omega0 = basis.params.omega
         beta = f.coeffs @ ((basis.weights * basis.samples[: f.coeffs.size])
                            / basis.lambdas[: f.coeffs.size, None])
         band = min(omega, omega0)
-        nw = n_omega or max(96, math.ceil(3.0 * basis.params.c) + 32)
+        nw = max(96, math.ceil(3.0 * basis.params.c) + 32)
         x, w = gauss_legendre(nw, -band, band)
         transform = np.exp(-1j * np.outer(x, basis.nodes)) @ beta
         e_in = float(np.dot(w, np.abs(transform) ** 2)) / (2.0 * math.pi)
@@ -199,16 +186,16 @@ def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None,
             return 0.0
         return float(min(max(e_in / e_tot, 0.0), 1.0))
 
-    core = core_radius if core_radius is not None else (basis.params.T if basis else 1.0)
+    core = basis.params.T if basis else 1.0
     rule = real_line_rule(f, core, max_freq=2.0 * omega + 16.0 / core,
-                          rel_tol=math.sqrt(energy_tol), max_radius=max_radius)
+                          rel_tol=math.sqrt(ENERGY_TOL))
     if rule.total_energy <= 0.0:
         return 0.0
     if not rule.converged:
         raise QuadratureError(
             "time-domain energy tail still above budget at the radius cap",
             achieved=rule.tail_energy / rule.total_energy)
-    nw = n_omega or max(96, math.ceil(0.8 * omega * rule.radius) + 32)
+    nw = max(96, math.ceil(0.8 * omega * rule.radius) + 32)
     x, w = gauss_legendre(nw, -omega, omega)
     transform = np.exp(-1j * np.outer(x, rule.nodes)) @ (rule.weights * rule.values)
     e_in = float(np.dot(w, np.abs(transform) ** 2)) / (2.0 * math.pi)

@@ -115,7 +115,6 @@ class ProlateBasis:
     nodes, weights : Gauss-Legendre rule of order ``quad_order`` on [-T, T].
     lambdas : concentration eigenvalues, descending, clipped to [0, 1).
     samples : psi_n at the nodes, one row per mode, sign-fixed.
-    lambda_floor : modes with lambda below this cannot be extended off-grid.
     """
 
     params: SlepianParams
@@ -125,7 +124,6 @@ class ProlateBasis:
     weights: np.ndarray
     lambdas: np.ndarray
     samples: np.ndarray
-    lambda_floor: float = LAMBDA_FLOOR
     _extension_blocks: dict = field(default_factory=dict, init=False,
                                     repr=False, compare=False, hash=False)
 
@@ -136,21 +134,19 @@ class ProlateBasis:
     @property
     def extendable(self) -> np.ndarray:
         """Boolean mask of modes whose Nystrom extension is trustworthy."""
-        return self.lambdas >= self.lambda_floor
+        return self.lambdas >= LAMBDA_FLOOR
 
     def require_extendable(self, n: int) -> None:
         if not (0 <= n <= self.n_max):
             raise ValueError(f"mode index {n} outside computed range 0..{self.n_max}")
-        if self.lambdas[n] < self.lambda_floor:
+        if self.lambdas[n] < LAMBDA_FLOOR:
             raise EigensolverError(
                 f"lambda_{n} = {self.lambdas[n]:.3e} is below the extension floor "
-                f"{self.lambda_floor:.1e}; the mode cannot be evaluated off-grid")
+                f"{LAMBDA_FLOOR:.1e}; the mode cannot be evaluated off-grid")
 
 
 def build_basis(params: SlepianParams, n_max: int | None = None,
-                quad_order: int | None = None, *,
-                lambda_floor: float = LAMBDA_FLOOR,
-                n_max_cap: int | None = None) -> ProlateBasis:
+                quad_order: int | None = None) -> ProlateBasis:
     """Solve the sinc-kernel eigenproblem on [-T, T] by Nystrom discretization.
 
     Parameters
@@ -159,12 +155,11 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
         Window half-length T and Slepian frequency c.
     n_max : int or None
         Highest mode index to keep.  ``None`` keeps every mode whose
-        eigenvalue is at or above ``lambda_floor`` (all extendable).
+        eigenvalue is at or above ``LAMBDA_FLOOR`` (all extendable), at most
+        quad_order/4 of them.
     quad_order : int or None
         Gauss-Legendre order; default max(4*n_max, ceil(4c), 64).  Orders
         below the default are rejected.
-    n_max_cap : int or None
-        Upper bound applied to the automatic n_max choice.
 
     Raises
     ------
@@ -202,14 +197,12 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
 
     n_usable = int(np.count_nonzero(lam_all > _ZERO_FLOOR))
     if n_max is None:
-        n_keep = int(np.count_nonzero(lam_all >= lambda_floor))
+        n_keep = int(np.count_nonzero(lam_all >= LAMBDA_FLOOR))
         n_keep = min(n_keep, quad_order // 4)
-        if n_max_cap is not None:
-            n_keep = min(n_keep, n_max_cap + 1)
         if n_keep == 0:
             raise EigensolverError(
-                f"no eigenvalue reaches the extension floor {lambda_floor:.1e} "
-                f"at c={c}; increase quad_order or lower the floor")
+                f"no eigenvalue reaches the extension floor {LAMBDA_FLOOR:.1e} "
+                f"at c={c}; increase quad_order")
         n_max = n_keep - 1
     elif n_max + 1 > n_usable:
         raise EigensolverError(
@@ -217,7 +210,7 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
             f"numerically distinguishable from zero at quad_order={quad_order}")
 
     lam = lam_all[: n_max + 1].copy()
-    _check_degeneracy(lam, lambda_floor)
+    _check_degeneracy(lam)
 
     # eigenvector -> eigenfunction samples with window energy lambda_n,
     # which pins the whole-line norm of the extension to one
@@ -236,17 +229,17 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
 
     return ProlateBasis(params=params, n_max=n_max, quad_order=quad_order,
                         nodes=nodes, weights=weights, lambdas=lam,
-                        samples=psi, lambda_floor=lambda_floor)
+                        samples=psi)
 
 
-def _check_degeneracy(lam: np.ndarray, lambda_floor: float) -> None:
+def _check_degeneracy(lam: np.ndarray) -> None:
     # the continuous spectrum is simple; a tiny gap away from the benign
     # clusters at 1 (saturated) and 0 (below trust) flags eigenvector mixing
     if lam.size < 2:
         return
     gaps = lam[:-1] - lam[1:]
     saturated = (1.0 - lam) < _SATURATION
-    tail = lam < max(100.0 * lambda_floor, _TAIL_CLUSTER)
+    tail = lam < max(100.0 * LAMBDA_FLOOR, _TAIL_CLUSTER)
     benign = (saturated[:-1] & saturated[1:]) | tail[:-1] | tail[1:]
     bad = (gaps < _DEGENERACY_GAP) & ~benign
     if np.any(bad):
@@ -274,7 +267,6 @@ def extension_matrix(basis: ProlateBasis, t, indices=None) -> np.ndarray:
 
 def eval_psi(basis: ProlateBasis, n: int, t):
     """Evaluate psi_n at time t (scalar or array) via the Nystrom extension."""
-    basis.require_extendable(n)
     t_arr = np.asarray(t, dtype=float)
     vals = extension_matrix(basis, t_arr.ravel(), [n])[0]
     if t_arr.ndim == 0:
@@ -283,14 +275,17 @@ def eval_psi(basis: ProlateBasis, n: int, t):
 
 
 def lambda0_curve(c_values, T: float = 1.0, quad_order: int | None = None) -> np.ndarray:
-    """Table of (c, lambda_0(c)) rows for the given c values."""
+    """Table of (c, lambda_0(c)) rows for the given c values.
+
+    A ``quad_order`` below ``default_quad_order(c, 0)`` is raised to it.
+    """
     c_values = np.atleast_1d(np.asarray(c_values, dtype=float))
     if c_values.size == 0:
         raise ValueError("c_values must be non-empty")
     rows = np.empty((c_values.size, 2))
     for i, c in enumerate(c_values):
-        basis = build_basis(SlepianParams(c=float(c), T=T), n_max=0,
-                            quad_order=quad_order)
+        quad = None if quad_order is None else max(quad_order, default_quad_order(c, 0))
+        basis = build_basis(SlepianParams(c=float(c), T=T), n_max=0, quad_order=quad)
         rows[i, 0] = c
         rows[i, 1] = basis.lambdas[0]
     return rows

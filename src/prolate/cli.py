@@ -13,12 +13,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import io as pio
-from .basis import build_basis, default_quad_order, eval_psi, plunge_index
+from .basis import (build_basis, default_quad_order, eval_psi, lambda0_curve,
+                    plunge_index)
 from .errors import ProlateError, SingularFisherError
 from .hermite import HermiteGaussMode, hg_eval
 from .metrology import crb
@@ -62,25 +63,6 @@ class RunConfig:
     t_grid: tuple = (-3.0, 3.0, 0.01)
     out: str = "out.csv"
     format: str = "csv"
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "c_values": list(self.c_values),
-            "T": self.T,
-            "n_max": self.n_max,
-            "quad_order": self.quad_order,
-            "tau_values": list(self.tau_values),
-            "tau0": self.tau0,
-            "nu": self.nu,
-            "sigma": self.sigma,
-            "design": list(self.design),
-            "design_row2": list(self.design_row2),
-            "regime": self.regime,
-            "t_grid": list(self.t_grid),
-            "out": self.out,
-            "format": self.format,
-        }
 
 
 def grid_values(start: float, stop: float, step: float) -> tuple:
@@ -251,11 +233,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _basis_for(cfg: RunConfig, c: float, n_max: int | None):
-    params = SlepianParams(c=c, T=cfg.T)
+    # --quad-order is raised to the minimum the kernel and n_max modes need
     quad = cfg.quad_order
-    if quad is not None and n_max is not None:
-        quad = max(quad, default_quad_order(c, n_max))
-    return build_basis(params, n_max=n_max, quad_order=quad)
+    if quad is not None:
+        quad = max(quad, default_quad_order(c, n_max or 0))
+    return build_basis(SlepianParams(c=c, T=cfg.T), n_max=n_max, quad_order=quad)
 
 
 def run_spectrum(cfg: RunConfig):
@@ -283,11 +265,8 @@ def run_hg_compare(cfg: RunConfig):
 
 
 def run_lambda0(cfg: RunConfig):
-    rows = []
-    for c in cfg.c_values:
-        basis = _basis_for(cfg, c, 0)
-        rows.append((c, float(basis.lambdas[0])))
-    return ("c", "lambda0"), rows
+    table = lambda0_curve(cfg.c_values, cfg.T, cfg.quad_order)
+    return ("c", "lambda0"), [(float(c), float(lam)) for c, lam in table]
 
 
 def run_superres(cfg: RunConfig):
@@ -312,7 +291,8 @@ def run_superres(cfg: RunConfig):
             fisher = superres_fisher(model, povm, basis, cfg.regime)
             try:
                 bounds = crb(fisher)
-            except SingularFisherError:
+            except SingularFisherError as exc:
+                print(f"c={c!r} tau={tau!r}: CRBs written as nan: {exc}", file=sys.stderr)
                 bounds = np.full(3, math.nan)
             rows.append((c, tau, cfg.tau0, cfg.nu, cfg.regime, a_value,
                          bound_phi2, bound_lambda0, float(fisher.matrix[0, 0]),
@@ -337,7 +317,7 @@ def _sanitize(value):
 
 
 def write_output(cfg: RunConfig, header, rows) -> list:
-    config = cfg.to_dict()
+    config = asdict(cfg)
     if cfg.format == "csv":
         meta = {"schema_version": pio.SCHEMA_VERSION,
                 "config": json.dumps(config, separators=(",", ":"))}

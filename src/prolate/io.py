@@ -23,13 +23,9 @@ def format_number(x) -> str:
     return str(x)
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_json(doc))
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_json(path) -> dict:
@@ -37,21 +33,14 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
-def csv_table(header, rows, meta: dict | None = None) -> str:
-    """Render a CSV document; metadata rides along as leading '#' lines."""
-    lines = []
-    if meta:
-        for key, value in meta.items():
-            lines.append(f"# {key}={format_number(value)}")
+def write_csv(path, header, rows, meta: dict) -> None:
+    """Write a CSV document; metadata rides along as leading '#' lines."""
+    lines = [f"# {key}={format_number(value)}" for key, value in meta.items()]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(format_number(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header, rows, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_table(header, rows, meta))
+        fh.write("\n".join(lines) + "\n")
 
 
 def sha256_of(path) -> str:

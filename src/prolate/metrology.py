@@ -16,6 +16,8 @@ PROB_SLACK = 1e-10
 POVM_SLACK = 1e-9
 #: outcomes with probability below this are excluded from Fisher sums
 DEFAULT_P_FLOOR = 1e-12
+#: a Fisher matrix worse conditioned than this has no Cramer-Rao bound
+COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -24,13 +26,11 @@ class ProbeState:
 
     Rows live in the prolate coefficient space; they need not be mutually
     orthogonal (any convex decomposition of the same operator yields the
-    same probabilities).  Set ``orthogonal=True`` to assert and check that
-    the rows form an orthonormal family.
+    same probabilities).
     """
 
     weights: np.ndarray
     modes: np.ndarray
-    orthogonal: bool = False
     params: SlepianParams | None = None
 
     def __post_init__(self):
@@ -47,10 +47,6 @@ class ProbeState:
         norms = np.sum(m * m, axis=1)
         if np.any(norms > 1.0 + POVM_SLACK):
             raise ValueError(f"probe row norm^2 exceeds 1: {norms.max()!r}")
-        if self.orthogonal:
-            gram = m @ m.T
-            if np.max(np.abs(gram - np.eye(w.size))) > POVM_SLACK:
-                raise ValueError("orthogonal flag set but rows are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -86,14 +82,6 @@ class Povm:
         if not self.elements:
             raise ValueError("POVM needs at least one monitored element")
 
-    @property
-    def n_monitored(self) -> int:
-        return len(self.elements)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.elements) + 1
-
     def coefficient_length(self) -> int:
         return max(el.vectors.shape[1] for el in self.elements)
 
@@ -106,10 +94,10 @@ class Povm:
             op += (el.weights[:, None] * v).T @ v
         return op
 
-    def validate(self, tol: float = POVM_SLACK) -> float:
+    def validate(self) -> float:
         """Check that the leakage complement stays positive; returns top eigenvalue."""
         top = float(np.linalg.eigvalsh(self.completeness_operator())[-1])
-        if top > 1.0 + tol:
+        if top > 1.0 + POVM_SLACK:
             raise PovmValidityError("monitored elements exceed the identity", top)
         return top
 
@@ -151,7 +139,7 @@ def _click_probabilities(probe: ProbeState, povm: Povm, probe_scale=None,
         psi = psi * scale[:m]
     if n_cut is not None:
         psi = psi[:, : n_cut + 1]
-    out = np.empty(povm.n_monitored)
+    out = np.empty(len(povm.elements))
     for i, el in enumerate(povm.elements):
         v = _pad_cols(el.vectors, m)
         if n_cut is not None:
@@ -243,9 +231,12 @@ def _checked_probs(model, theta: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def fisher_matrix(model, theta, steps=None, *, labels=None,
-                  p_floor: float = DEFAULT_P_FLOOR,
-                  richardson: bool = True) -> FisherMatrix:
+def _default_steps(theta: np.ndarray) -> np.ndarray:
+    """Central-difference steps ``fisher_matrix`` takes when none are given."""
+    return 1e-5 * (1.0 + np.abs(theta))
+
+
+def fisher_matrix(model, theta, steps=None, *, labels=None) -> FisherMatrix:
     """Classical Fisher information matrix of a probability model.
 
     Parameters
@@ -257,20 +248,19 @@ def fisher_matrix(model, theta, steps=None, *, labels=None,
         Evaluation point.
     steps : array_like or None
         Per-parameter central-difference steps; default 1e-5 * (1 + |theta|).
-        One Richardson extrapolation is applied unless disabled.
-    p_floor : float
-        Outcomes with probability below this are excluded from the sum (their
-        indices are reported on the result) -- 1/p is untrustworthy there.
+        One Richardson extrapolation is applied.
 
     Notes
     -----
-    The sum runs over every outcome the model reports.  To exclude an
-    outcome (for example a leakage channel), wrap the model so it omits it.
+    The sum runs over every outcome the model reports, except those with
+    probability below ``DEFAULT_P_FLOOR`` (their indices are reported on the
+    result) -- 1/p is untrustworthy there.  To exclude an outcome (for
+    example a leakage channel), wrap the model so it omits it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     n = theta.size
     if steps is None:
-        steps = 1e-5 * (1.0 + np.abs(theta))
+        steps = _default_steps(theta)
     else:
         steps = np.broadcast_to(np.asarray(steps, dtype=float), (n,)).copy()
     if np.any(steps <= 0.0):
@@ -279,7 +269,7 @@ def fisher_matrix(model, theta, steps=None, *, labels=None,
         labels = tuple(f"theta{i}" for i in range(n))
 
     p0 = _checked_probs(model, theta)
-    keep = p0 >= p_floor
+    keep = p0 >= DEFAULT_P_FLOOR
     excluded = tuple(int(i) for i in np.nonzero(~keep)[0])
 
     grads = np.empty((n, p0.size))
@@ -292,9 +282,7 @@ def fisher_matrix(model, theta, steps=None, *, labels=None,
                     - _checked_probs(model, theta - h * e)) / (2.0 * h)
 
         d = central(steps[i])
-        if richardson:
-            d = (4.0 * central(0.5 * steps[i]) - d) / 3.0
-        grads[i] = d
+        grads[i] = (4.0 * central(0.5 * steps[i]) - d) / 3.0
 
     g = grads[:, keep]
     f = (g / p0[keep]) @ g.T
@@ -303,17 +291,17 @@ def fisher_matrix(model, theta, steps=None, *, labels=None,
                         excluded_outcomes=excluded)
 
 
-def crb(fisher: FisherMatrix, *, cond_cap: float = 1e12) -> np.ndarray:
+def crb(fisher: FisherMatrix) -> np.ndarray:
     """Cramer-Rao lower bounds sqrt((F^-1)_nn) for each parameter.
 
     Raises SingularFisherError when the matrix is singular or worse
-    conditioned than ``cond_cap``; the error carries the null direction,
+    conditioned than ``COND_CAP``; the error carries the null direction,
     i.e. the parameter combination the data cannot identify.
     """
     f = fisher.matrix
     evals, evecs = np.linalg.eigh(f)
     top = float(evals[-1])
-    if top <= 0.0 or evals[0] <= top / cond_cap:
+    if top <= 0.0 or evals[0] <= top / COND_CAP:
         direction = evecs[:, 0]
         combo = " + ".join(f"{float(x):+.3g}*{lab}"
                            for x, lab in zip(direction, fisher.labels))

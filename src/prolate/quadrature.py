@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _ENERGY_FLOOR = 1e-300
+#: the real-line rule stops growing at this many core radii
+RADIUS_CAP = 20.0
 
 
 @functools.lru_cache(maxsize=128)
@@ -64,26 +66,23 @@ class RealLineRule:
 
 
 def real_line_rule(f, core_radius: float, *, max_freq: float | None = None,
-                   panel_order: int | None = None, rel_tol: float = 1e-11,
-                   max_radius: float | None = None) -> RealLineRule:
+                   rel_tol: float = 1e-11) -> RealLineRule:
     """Grow a symmetric panel rule until the energy tail of ``f`` is negligible.
 
     Panels of width ``core_radius`` are appended on both sides of
     [-core_radius, core_radius] until the energy (sum of w*f^2) contributed by
     the outermost pair falls below rel_tol^2 times the accumulated energy.
-    The radius is capped (default 20x the core radius); hitting the cap is
+    The radius is capped at ``RADIUS_CAP`` core radii; hitting the cap is
     reported through ``converged`` and left to the caller to enforce.
     """
     if not (core_radius > 0.0):
         raise ValueError("core_radius must be positive")
     R = float(core_radius)
-    cap = float(max_radius) if max_radius is not None else 20.0 * R
+    cap = RADIUS_CAP * R
     if max_freq is None:
         max_freq = 2.0 * math.pi / R
-    order = panel_order if panel_order is not None else panel_order_for(max_freq, R)
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    x, w = _reference_rule(operator.index(order))
+    order = panel_order_for(max_freq, R)
+    x, w = _reference_rule(order)
     x1 = x + 1.0
 
     def pair(left, right):

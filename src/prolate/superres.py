@@ -19,13 +19,17 @@ from .basis import ProlateBasis
 from .bandlimited import _real_line_coeffs, project
 from .errors import IdentifiabilityError, PovmValidityError, RankDeficiencyError
 from .hermite import hermite_polynomial
-from .metrology import (FisherMatrix, Povm, PovmElement, ProbeState,
-                        fisher_matrix, probabilities_ideal,
+from .metrology import (POVM_SLACK, FisherMatrix, Povm, PovmElement, ProbeState,
+                        _default_steps, fisher_matrix, probabilities_ideal,
                         probabilities_limited, probabilities_truncated)
 from .params import SlepianParams
 from .quadrature import real_line_rule
 
 REGIMES = ("ideal", "limited", "truncated")
+#: derivative orders 0..N_DERIVS span the optimal measurement's modes
+N_DERIVS = 3
+#: a squared residual norm below this share of the row's own marks dependence
+RANK_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -61,16 +65,16 @@ class GaussianPsf:
         return dn
 
 
-def default_psf_sigma(c: float, kappa: float = 0.5) -> float:
+def default_psf_sigma(c: float) -> float:
     """Width tying the default Gaussian pulse to the configured bandwidth.
 
-    sigma = 1/sqrt(2 c kappa); kappa = 1 matches the zeroth Hermite-Gauss
-    mode exactly, the default 0.5 widens the pulse so nearly all of its
-    spectral energy sits inside the band once c is a few units or more.
+    sigma = 1/sqrt(c), twice the intensity variance 1/(2c) of the zeroth
+    Hermite-Gauss mode: the wider pulse keeps nearly all of its spectral
+    energy inside the band once c is a few units or more.
     """
-    if not (c > 0.0 and kappa > 0.0):
-        raise ValueError("c and kappa must be positive")
-    return 1.0 / math.sqrt(2.0 * c * kappa)
+    if not (c > 0.0):
+        raise ValueError("c must be positive")
+    return 1.0 / math.sqrt(c)
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ def _require_unit_norm(psf, basis: ProlateBasis) -> None:
             raise ValueError(f"point spread function is not unit-norm (|error| = {err:.3e})")
 
 
-def _probe(model: TwoPulseModel, basis: ProlateBasis, rel_tol: float = 1e-11,
+def _probe(model: TwoPulseModel, basis: ProlateBasis,
            modes: np.ndarray | None = None) -> ProbeState:
     # probe_from_model without the norm check, for callers that made it once;
     # ``modes`` passes rows already projected for the same tau and tau0
@@ -111,14 +115,13 @@ def _probe(model: TwoPulseModel, basis: ProlateBasis, rel_tol: float = 1e-11,
         shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
         modes = np.vstack([
             project(lambda t, _s=s: np.asarray(model.psf(t - _s), dtype=float),
-                    basis, rel_tol=rel_tol).coeffs
+                    basis).coeffs
             for s in shifts])
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
-                      modes=modes, orthogonal=False, params=basis.params)
+                      modes=modes, params=basis.params)
 
 
-def probe_from_model(model: TwoPulseModel, basis: ProlateBasis, *,
-                     rel_tol: float = 1e-11) -> ProbeState:
+def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     """Probe state of the two-pulse mixture in the prolate coefficient space.
 
     Rows are the projections of the shifted pulses Psf(t - tau0 -/+ tau/2)
@@ -126,7 +129,7 @@ def probe_from_model(model: TwoPulseModel, basis: ProlateBasis, *,
     non-orthogonal convex decomposition -- probabilities do not care.
     """
     _require_unit_norm(model.psf, basis)
-    return _probe(model, basis, rel_tol)
+    return _probe(model, basis)
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,14 @@ class DerivativeBasis:
     phi: np.ndarray | None = None
     transform: np.ndarray | None = None
 
-    @property
-    def n_modes(self) -> int:
-        return self.gamma.shape[0]
-
     def require_phi(self) -> np.ndarray:
         if self.phi is None:
             raise ValueError("orthonormal modes not filled; run gram_schmidt first")
         return self.phi
 
 
-def gamma_modes(model: TwoPulseModel, basis: ProlateBasis, n_derivs: int = 3) -> DerivativeBasis:
-    """Project the derivative family d^n/dt^n Psf(t - tau0), n = 0..n_derivs.
+def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
+    """Project the derivative family d^n/dt^n Psf(t - tau0), n = 0..N_DERIVS.
 
     A pulse with a ``derivative(n)`` method has each derivative projected.
     Any other pulse is sampled once and its rows n >= 1 are exact derivatives
@@ -164,21 +163,18 @@ def gamma_modes(model: TwoPulseModel, basis: ProlateBasis, n_derivs: int = 3) ->
     route loses digits as (omega sigma)^n / lambda_min at large c, so exact
     pulse derivatives are used whenever the pulse has them.
     """
-    if n_derivs < 0:
-        raise ValueError("n_derivs must be >= 0")
-
     def shifted(f):
         return lambda t: np.asarray(f(t - model.tau0), dtype=float)
 
     if hasattr(model.psf, "derivative"):
         gamma = np.vstack([project(shifted(model.psf.derivative(n)), basis).coeffs
-                           for n in range(n_derivs + 1)])
+                           for n in range(N_DERIVS + 1)])
     else:
-        gamma = _real_line_coeffs(shifted(model.psf), basis, n_derivs)
+        gamma = _real_line_coeffs(shifted(model.psf), basis, N_DERIVS)
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 
-def gram_schmidt(dbasis: DerivativeBasis, *, rank_tol: float = 1e-14) -> DerivativeBasis:
+def gram_schmidt(dbasis: DerivativeBasis) -> DerivativeBasis:
     """Orthonormalize the derivative rows (modified Gram-Schmidt).
 
     Output rows are orthonormal, row k mixes input rows 0..k only, and the
@@ -191,10 +187,10 @@ def gram_schmidt(dbasis: DerivativeBasis, *, rank_tol: float = 1e-14) -> Derivat
     if np.any(norms <= 0.0):
         raise RankDeficiencyError("zero derivative row", index=int(np.argmin(norms)))
     corr = (gamma / norms[:, None]) @ (gamma / norms[:, None]).T
-    if np.linalg.det(corr) < rank_tol:
+    if np.linalg.det(corr) < RANK_TOL:
         raise RankDeficiencyError(
             f"derivative rows nearly dependent (normalized Gram determinant "
-            f"{np.linalg.det(corr):.3e} < {rank_tol:.1e})")
+            f"{np.linalg.det(corr):.3e} < {RANK_TOL:.1e})")
 
     phi = np.zeros((n, m))
     transform = np.zeros((n, n))
@@ -207,7 +203,7 @@ def gram_schmidt(dbasis: DerivativeBasis, *, rank_tol: float = 1e-14) -> Derivat
             v -= r * phi[j]
             coeff -= r * transform[j]
         norm = float(np.linalg.norm(v))
-        if norm * norm < rank_tol * float(np.dot(gamma[k], gamma[k])):
+        if norm * norm < RANK_TOL * float(np.dot(gamma[k], gamma[k])):
             raise RankDeficiencyError(
                 f"derivative row {k} lies in the span of the previous rows", index=k)
         phi[k] = v / norm
@@ -232,22 +228,21 @@ class MeasurementDesign:
             raise ValueError(f"design matrix must be 3x4, got {c.shape}")
         object.__setattr__(self, "C", c)
 
-    def meets_optimal_conditions(self, tol: float = 1e-12) -> bool:
-        """Zero pattern required of the quantum-optimal alignment."""
-        c = self.C
+    def meets_optimal_conditions(self) -> bool:
+        """Zero pattern required of the quantum-optimal alignment, to 1e-12."""
+        c, tol = self.C, 1e-12
         zeros_ok = abs(c[0, 0]) <= tol and abs(c[1, 0]) <= tol
         nonzero_ok = all(abs(x) > tol for x in (c[0, 1], c[1, 1], c[0, 2], c[1, 2]))
         return zeros_ok and nonzero_ok
 
 
 def design_from_sphere(r1: float, phi1: float, r2: float, phi2: float, *,
-                       c03: float = 0.0, c13: float = 0.0,
                        row2=(0.0, 0.0, 0.0, 0.0)) -> MeasurementDesign:
     """Build the constrained design entries from sphere coordinates.
 
     C01 = r1 sin(phi1), C11 = r1 cos(phi1) and likewise for (r2, phi2); the
     angles must stay off the multiples of pi/2 so no constrained entry
-    vanishes.  Remaining entries come from the keyword arguments (default 0).
+    vanishes.  C03 = C13 = 0, and the third element's row is ``row2``.
     """
     if not (r1 > 0.0 and r2 > 0.0):
         raise ValueError("radii must be positive")
@@ -257,8 +252,8 @@ def design_from_sphere(r1: float, phi1: float, r2: float, phi2: float, *,
             raise ValueError(f"{name} = {phi!r} sits on a multiple of pi/2; "
                              f"a constrained coefficient would vanish")
     c = np.array([
-        [0.0, r1 * math.sin(phi1), r2 * math.sin(phi2), c03],
-        [0.0, r1 * math.cos(phi1), r2 * math.cos(phi2), c13],
+        [0.0, r1 * math.sin(phi1), r2 * math.sin(phi2), 0.0],
+        [0.0, r1 * math.cos(phi1), r2 * math.cos(phi2), 0.0],
         list(row2),
     ])
     return MeasurementDesign(C=c, sphere=(r1, phi1, r2, phi2))
@@ -274,8 +269,7 @@ def efficiency_factor(design: MeasurementDesign) -> float:
     return float(num / den)
 
 
-def optimal_povm(design: MeasurementDesign, dbasis: DerivativeBasis, *,
-                 tol: float = 1e-9) -> Povm:
+def optimal_povm(design: MeasurementDesign, dbasis: DerivativeBasis) -> Povm:
     """Three rank-1 elements |pi_j> = sum_k C_jk |phi_k> plus implicit leakage.
 
     Validity demands the summed operator stay below the identity (so the
@@ -294,13 +288,24 @@ def optimal_povm(design: MeasurementDesign, dbasis: DerivativeBasis, *,
             raise PovmValidityError("active design rows are linearly dependent")
     gram_op = c.T @ c  # operator of sum_j Pi_j in the orthonormal phi frame
     evals, evecs = np.linalg.eigh(gram_op)
-    if evals[-1] > 1.0 + tol:
+    if evals[-1] > 1.0 + POVM_SLACK:
         raise PovmValidityError("leakage complement not positive",
                                 top_eigenvalue=float(evals[-1]),
                                 eigenvector=evecs[:, -1] @ phi)
     vectors = c @ phi
     elements = tuple(PovmElement(np.array([1.0]), row[None, :]) for row in vectors)
     return Povm(elements, params=dbasis.params)
+
+
+def _phi_and_lambdas(dbasis: DerivativeBasis, basis: ProlateBasis):
+    """The orthonormal modes and the eigenvalues lambda_n of their columns."""
+    phi = dbasis.require_phi()
+    if dbasis.params != basis.params:
+        raise ValueError("derivative modes built over different basis parameters")
+    m = phi.shape[1]
+    if basis.lambdas.size < m:
+        raise ValueError("basis supplies fewer eigenvalues than coefficient columns")
+    return phi, basis.lambdas[:m]
 
 
 def time_limited_design(design: MeasurementDesign, dbasis: DerivativeBasis,
@@ -310,13 +315,7 @@ def time_limited_design(design: MeasurementDesign, dbasis: DerivativeBasis,
     C_jk maps to sum_n phi_kn lambda_n pi_jn with pi_j = sum_m C_jm phi_m;
     the zero pattern of the optimal alignment is generally lost.
     """
-    phi = dbasis.require_phi()
-    if dbasis.params != basis.params:
-        raise ValueError("derivative modes built over different basis parameters")
-    m = phi.shape[1]
-    if basis.lambdas.size < m:
-        raise ValueError("basis supplies fewer eigenvalues than coefficient columns")
-    lam = basis.lambdas[:m]
+    phi, lam = _phi_and_lambdas(dbasis, basis)
     pi = design.C @ phi
     return MeasurementDesign(C=(pi * lam) @ phi.T, sphere=None)
 
@@ -329,22 +328,15 @@ def efficiency_bounds(dbasis: DerivativeBasis, basis: ProlateBasis) -> tuple[flo
     first is strictly below 1 for any finite window -- a bandlimited function
     cannot be time-limited too.
     """
-    phi = dbasis.require_phi()
-    if dbasis.params != basis.params:
-        raise ValueError("derivative modes built over different basis parameters")
+    phi, lam = _phi_and_lambdas(dbasis, basis)
     if phi.shape[0] < 3:
         raise ValueError("need derivative modes up to order 2")
-    m = phi.shape[1]
-    if basis.lambdas.size < m:
-        raise ValueError("basis supplies fewer eigenvalues than coefficient columns")
-    lam = basis.lambdas[:m]
     bound_phi2 = float(np.dot(phi[2] * phi[2], lam))
     return bound_phi2, float(basis.lambdas[0])
 
 
 def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
-                    regime: str = "ideal", *, steps=None,
-                    include_leakage: bool = True,
+                    regime: str = "ideal", *, include_leakage: bool = True,
                     tau_floor: float | None = None) -> FisherMatrix:
     """Fisher information of theta = (tau, tau0, nu) under the chosen regime.
 
@@ -352,7 +344,9 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
     "limited" (band + window) or "truncated" (coefficient sums cut at the
     plunge index).  Separations below ``tau_floor`` (default 1e-4 sigma for
     Gaussian pulses) are refused: the parameters degenerate there and the
-    singularity is physical, not numerical.
+    singularity is physical, not numerical.  An intensity ratio nu within
+    one finite-difference step of 0 or 1 is refused too: the steps in nu
+    would leave [0, 1].
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -366,6 +360,11 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         raise IdentifiabilityError(
             f"separation tau = {model.tau!r} below the floor {tau_floor!r}; "
             f"parameters are not identifiable in this regime")
+    nu_step = float(_default_steps(model.theta)[2])
+    if model.nu - nu_step < 0.0 or model.nu + nu_step > 1.0:
+        raise IdentifiabilityError(
+            f"intensity ratio nu = {model.nu!r} within the Fisher step {nu_step!r} "
+            f"of 0 or 1; the steps in nu would leave [0, 1]")
     # every model evaluation below shares this pulse
     _require_unit_norm(model.psf, basis)
 
@@ -389,5 +388,4 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         p = route(probe)
         return p if include_leakage else p[:-1]
 
-    return fisher_matrix(prob_model, model.theta, steps,
-                         labels=("tau", "tau0", "nu"))
+    return fisher_matrix(prob_model, model.theta, labels=("tau", "tau0", "nu"))

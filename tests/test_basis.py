@@ -158,11 +158,11 @@ class TestEvalPsi:
         assert np.max(np.abs(vals - b.samples)) < 1e-9
 
     def test_rejects_subfloor_mode(self):
-        # raise the floor so the last kept mode falls below it
-        b = build_basis(SlepianParams(1.0), n_max=5, lambda_floor=1e-9)
-        assert not b.extendable[5]
+        # lambda_8(c = 2) = 2.8e-14 sits below the extension floor 1e-13
+        b = build_basis(SlepianParams(2.0), n_max=8)
+        assert b.extendable[7] and not b.extendable[8]
         with pytest.raises(EigensolverError):
-            eval_psi(b, 5, 0.5)
+            eval_psi(b, 8, 0.5)
 
 
 class TestWholeLineOrthogonality:

@@ -25,11 +25,10 @@ def sech_pulse(w):
     return lambda t: 1.0 / (np.cosh(np.asarray(t, dtype=float) / w) * math.sqrt(2.0 * w))
 
 
-def uncached_project(f, basis, *, rel_tol=1e-11):
+def uncached_project(f, basis):
     """The projection without the block cache: one extension onto all nodes."""
     T = basis.params.T
-    rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T,
-                          rel_tol=rel_tol)
+    rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T)
     assert rule.converged
     coeffs = extension_matrix(basis, rule.nodes) @ (rule.weights * rule.values)
     return BandlimitedFunction(params=basis.params, coeffs=coeffs)

@@ -43,6 +43,16 @@ def test_parse_grid():
         parse_grid("5:4:1")
 
 
+@pytest.mark.parametrize("argv", [["lambda0", "--c-grid", "0.5:20:0.5"],
+                                  ["superres", "--c", "5", "--tau", "0.3"]],
+                         ids=["lambda0", "superres"])
+def test_low_quad_order_raised_to_minimum(tmp_path, argv):
+    low, default = tmp_path / "low.csv", tmp_path / "default.csv"
+    assert main(argv + ["--quad-order", "10", "--out", str(low)]) == EXIT_OK
+    assert main(argv + ["--out", str(default)]) == EXIT_OK
+    assert read_rows(low) == read_rows(default)
+
+
 class TestSpectrum:
     def test_plunge_location_and_lambda0(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -167,15 +177,29 @@ class TestSuperres:
         assert not out.exists()
 
 
-    def test_singular_crb_reported_as_nan(self, tmp_path):
+    def test_singular_crb_reported_as_nan(self, tmp_path, capsys):
         # separation far below the pulse width: Fisher degenerates, the sweep
-        # keeps going and records empty bounds
+        # keeps going, records empty bounds and says why on stderr
         out = tmp_path / "sr_sing.csv"
-        code = main(["superres", "--c", "5", "--tau", "0.0005", "--out", str(out)])
+        code = main(["superres", "--c", "5", "--tau", "0.0005", "--tau", "0.4",
+                     "--out", str(out)])
         assert code == EXIT_OK
         _, rows = read_rows(out)
         assert rows[0][9] == "nan" and rows[0][10] == "nan" and rows[0][11] == "nan"
         assert float(rows[0][8]) >= 0.0  # F_tautau itself is still reported
+        assert "nan" not in rows[1]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("c=5.0 tau=0.0005:")
+        assert "unidentifiable direction" in line and "*tau0" in line
+
+    @pytest.mark.parametrize("nu", ["0", "1"])
+    def test_nu_at_boundary_names_the_step(self, tmp_path, capsys, nu):
+        out = tmp_path / "never.csv"
+        code = main(["superres", "--c", "5", "--tau", "0.3", "--nu", nu,
+                     "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "Fisher step" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminismAndConfig:

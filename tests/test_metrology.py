@@ -70,9 +70,6 @@ class TestProbabilitiesIdeal:
         with pytest.raises(ValueError):
             ProbeState([1.0], [2.0 * unit(0)])  # row norm > 1
         with pytest.raises(ValueError):
-            ProbeState([0.5, 0.5], [unit(0), (unit(0) + unit(1)) / np.sqrt(2)],
-                       orthogonal=True)
-        with pytest.raises(ValueError):
             PovmElement([-0.1], [unit(0)])
 
 

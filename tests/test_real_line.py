@@ -24,14 +24,13 @@ from prolate import (GaussianPsf, SlepianParams, TwoPulseModel, build_basis,
 from prolate.quadrature import RealLineRule, gauss_legendre, panel_order_for, real_line_rule
 
 
-def per_panel_rule(f, core_radius, *, max_freq=None, panel_order=None, rel_tol=1e-11,
-                   max_radius=None):
+def per_panel_rule(f, core_radius, *, max_freq=None, rel_tol=1e-11):
     """The rule sampled one panel at a time, each panel from gauss_legendre."""
     R = float(core_radius)
-    cap = float(max_radius) if max_radius is not None else 20.0 * R
+    cap = 20.0 * R
     if max_freq is None:
         max_freq = 2.0 * math.pi / R
-    order = panel_order if panel_order is not None else panel_order_for(max_freq, R)
+    order = panel_order_for(max_freq, R)
 
     def panel(lo, hi):
         x, w = gauss_legendre(order, lo, hi)

@@ -13,6 +13,7 @@ from prolate import (GaussianPsf, HermiteGaussMode,
                      gram_schmidt, hg_eval, optimal_povm, probabilities_ideal,
                      probabilities_limited, probe_from_model, project,
                      superres_fisher, time_limited_design)
+import prolate.superres as superres
 from prolate.quadrature import real_line_rule
 from prolate.superres import DerivativeBasis
 
@@ -382,6 +383,24 @@ class TestSuperresFisher:
         tiny = replace(model5, tau=1e-5 * model5.psf.sigma)
         with pytest.raises(IdentifiabilityError):
             superres_fisher(tiny, povm, b5, "ideal")
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-5, 1.0 - 1e-5, 1.0])
+    def test_nu_within_step_of_boundary_refused(self, b5, model5, dbasis5,
+                                                monkeypatch, nu):
+        # the steps in nu are 1e-5 * (1 + nu); refused before any projection
+        povm = optimal_povm(sample_design(), dbasis5)
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("model evaluated")
+
+        monkeypatch.setattr(superres, "_probe", no_probe)
+        with pytest.raises(IdentifiabilityError, match="nu = .* Fisher step"):
+            superres_fisher(replace(model5, nu=nu), povm, b5, "limited")
+
+    def test_nu_clear_of_boundary_accepted(self, b5, model5, dbasis5):
+        povm = optimal_povm(sample_design(), dbasis5)
+        fm = superres_fisher(replace(model5, nu=1e-3), povm, b5, "limited")
+        assert np.all(np.isfinite(fm.matrix))
 
     def test_near_zero_separation_singular(self, b5, dbasis5):
         povm = optimal_povm(sample_design(), dbasis5)
