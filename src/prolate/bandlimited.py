@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProlateBasis, _kernel_derivatives, extension_matrix
+from .basis import ProlateBasis, extension_matrix
 from .errors import QuadratureError
 from .params import SlepianParams
 from .quadrature import gauss_legendre, real_line_rule
@@ -83,9 +83,9 @@ def project(f, basis: ProlateBasis, *, bandlimited: bool = False) -> Bandlimited
 def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int) -> np.ndarray:
     """Rows <f^(m), psi_n> for m = 0..n_derivs, from samples of f alone.
 
-    Each psi_n = sum_j a_jn K(t - z_j) is a Nystrom extension, so integration
-    by parts puts the derivatives on the kernel:
-    <f^(m), psi_n> = (-1)^m sum_j a_jn int f(t) K^(m)(t - z_j) dt.
+    Row 0 applies the Nystrom extension block.  Every psi_n is bandlimited, so
+    row m >= 1 is (1/2 pi) int (i w)^m F(w) conj(Psi_n(w)) dw over the band,
+    with F the transform of the samples: no derivative of f is taken.
     """
     _require_all_extendable(basis)
     T = basis.params.T
@@ -100,16 +100,33 @@ def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int) -> np.ndarray:
     coeffs = _extension_block(basis, rule) @ wv
     if not n_derivs:
         return coeffs[None, :]
-    # kernel derivatives are not kept, so only one panel's worth lives at a time
-    m = rule.panel_order
-    kernel_sums = np.zeros((n_derivs, basis.nodes.size))
-    for i in range(len(rule.panels)):
-        part = slice(i * m, (i + 1) * m)
-        kernel_sums += wv[part] @ _kernel_derivatives(
-            rule.nodes[part, None], basis.nodes[None, :], basis.params.omega, n_derivs)
-    core = (basis.weights * basis.samples) / basis.lambdas[:, None]
-    signs = (-1.0) ** np.arange(1, n_derivs + 1)
-    return np.vstack([coeffs, signs[:, None] * (kernel_sums @ core.T)])
+    freqs, band, ref = _band_blocks(basis, rule.panel_order)
+    # every panel is [a_p, a_p + T], so F = sum_p exp(-i w a_p) (ref @ wv_p)
+    starts = np.array([lo for lo, _ in rule.panels])
+    per_panel = ref @ wv.reshape(len(starts), rule.panel_order).T
+    F = np.einsum("qp,qp->q", np.exp(-1j * np.outer(freqs, starts)), per_panel)
+    powers = (1j * freqs[:, None]) ** np.arange(1, n_derivs + 1)
+    return np.vstack([coeffs, (band @ (powers * F[:, None])).real.T])
+
+
+def _band_blocks(basis: ProlateBasis, order: int):
+    """Band nodes w_q, B[n, q] = conj(Psi_n(w_q)) v_q / (2 pi), R[q, k] = exp(-i w_q s_k).
+
+    Psi_n(w) = sum_j a_jn exp(-i w z_j), v_q are the weights of an n_w =
+    max(64, ceil(3c) + 48) point rule on the band and s_k the nodes of a panel
+    [0, T].  Built once per basis and panel order, read-only, published whole.
+    """
+    blocks = basis._band_blocks.get(order)
+    if blocks is None:
+        p = basis.params
+        freqs, v = gauss_legendre(max(64, math.ceil(3.0 * p.c) + 48), -p.omega, p.omega)
+        core = (basis.weights * basis.samples) / basis.lambdas[:, None]
+        band = (core @ np.exp(1j * np.outer(basis.nodes, freqs))) * (v / (2.0 * math.pi))
+        ref = np.exp(-1j * np.outer(freqs, gauss_legendre(order, 0.0, p.T)[0]))
+        for a in (freqs, band, ref):
+            a.flags.writeable = False
+        basis._band_blocks[order] = blocks = freqs, band, ref
+    return blocks
 
 
 def _extension_block(basis: ProlateBasis, rule) -> np.ndarray:

@@ -54,36 +54,22 @@ def sinc_kernel(t, z, omega: float):
 
 
 def sinc_kernel_dt(t, z, omega: float):
-    """Derivative of the kernel with respect to its first argument."""
-    return _kernel_derivatives(t, z, omega, 1)[0]
+    """Derivative of the kernel with respect to its first argument.
 
-
-def _kernel_derivatives(t, z, omega: float, n: int) -> np.ndarray:
-    """Derivatives of orders 1..n of ``sinc_kernel`` in t, stacked on a new first axis.
-
-    The kernel is (omega/pi) s(omega (t - z)) with s(u) = sin(u)/u.  For
-    |u| > 1 the recurrence u s^(m) + m s^(m-1) = sin^(m)(u) is stable; closer
-    to 0, s^(m)(u) = int_0^1 x^m cos^(m)(u x) dx on a fixed 12-point rule.
+    (omega^2/pi) s'(omega (t - z)) for s(u) = sin(u)/u: (cos u - s(u)) / u for
+    |u| > 1, and -int_0^1 x sin(u x) dx on a fixed 12-point rule closer to 0.
     """
     if not (omega > 0.0):
         raise ValueError("omega must be positive")
     u = omega * np.asarray(np.subtract(t, z, dtype=float))
     small = np.abs(u) <= 1.0
     u_big = np.where(small, 1.0, u)
-    sin, cos = np.sin(u_big), np.cos(u_big)
     x, w = gauss_legendre(12, 0.0, 1.0)
-    ux = np.multiply.outer(u[small], x)
-    sin_ux, cos_ux = np.sin(ux), np.cos(ux)
-    out = np.empty((n,) + u.shape)
-    s = sin / u_big
-    for m in range(1, n + 1):
-        # m-th derivatives: sin^(m) = +-(cos or sin), cos^(m) = +-(sin or cos)
-        trig, trig_ux = (cos, sin_ux) if m % 2 else (sin, cos_ux)
-        s = ((-1) ** (m // 2) * trig - m * s) / u_big
-        out[m - 1] = s
-        out[m - 1, small] = (-1) ** ((m + 1) // 2) * ((trig_ux * x ** m) @ w)
-        out[m - 1] *= omega ** (m + 1) / np.pi
-    return out
+    out = np.empty(u.shape)
+    out[...] = (np.cos(u_big) - np.sin(u_big) / u_big) / u_big
+    out[small] = -((np.sin(np.multiply.outer(u[small], x)) * x) @ w)
+    out *= omega ** 2 / np.pi
+    return out[()]
 
 
 def plunge_index(c: float) -> int:
@@ -103,12 +89,13 @@ def default_quad_order(c: float, n_max: int) -> int:
 class ProlateBasis:
     """Computed family psi_0..psi_n_max for one (c, T) configuration.
 
-    Immutable after construction; safe to share across threads.  It carries a
-    private, lazily filled cache: the Nystrom extension onto the panels of the
-    widest real-line rule ``project`` has used on it, one read-only block that
-    a wider rule replaces with a grown copy.  Two threads growing it at once
-    each build their own copy and the last one stored is kept; no result
-    changes, at worst the other copy's panels are extended again later.
+    Immutable after construction; safe to share across threads.  It carries
+    private, lazily filled caches of read-only arrays: the Nystrom extension
+    onto the panels of the widest real-line rule ``project`` has used on it,
+    one block that a wider rule replaces with a grown copy; and, per panel
+    order, the band blocks B and R of ``gamma_modes`` (at c = 45, 126 KB and
+    305 KB).  Two threads filling a cache at once each build their own copy
+    and the last one stored is kept; no result changes.
 
     Attributes
     ----------
@@ -126,6 +113,8 @@ class ProlateBasis:
     samples: np.ndarray
     _extension_blocks: dict = field(default_factory=dict, init=False,
                                     repr=False, compare=False, hash=False)
+    _band_blocks: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False, hash=False)
 
     @property
     def n_modes(self) -> int:

@@ -157,20 +157,11 @@ class DerivativeBasis:
 def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
     """Project the derivative family d^n/dt^n Psf(t - tau0), n = 0..N_DERIVS.
 
-    A pulse with a ``derivative(n)`` method has each derivative projected.
-    Any other pulse is sampled once and its rows n >= 1 are exact derivatives
-    of the Nystrom extension, integrated by parts: no step size enters.  That
-    route loses digits as (omega sigma)^n / lambda_min at large c, so exact
-    pulse derivatives are used whenever the pulse has them.
+    The pulse is sampled once.  Row 0 is its projection; rows n >= 1 take
+    the transform of the samples times (i w)^n over the band of the basis:
+    no step size enters and no derivative of the pulse is needed.
     """
-    def shifted(f):
-        return lambda t: np.asarray(f(t - model.tau0), dtype=float)
-
-    if hasattr(model.psf, "derivative"):
-        gamma = np.vstack([project(shifted(model.psf.derivative(n)), basis).coeffs
-                           for n in range(N_DERIVS + 1)])
-    else:
-        gamma = _real_line_coeffs(shifted(model.psf), basis, N_DERIVS)
+    gamma = _real_line_coeffs(lambda t: model.psf(t - model.tau0), basis, N_DERIVS)
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 
@@ -344,9 +335,9 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
     "limited" (band + window) or "truncated" (coefficient sums cut at the
     plunge index).  Separations below ``tau_floor`` (default 1e-4 sigma for
     Gaussian pulses) are refused: the parameters degenerate there and the
-    singularity is physical, not numerical.  An intensity ratio nu within
-    one finite-difference step of 0 or 1 is refused too: the steps in nu
-    would leave [0, 1].
+    singularity is physical, not numerical.  A separation within one
+    finite-difference step of 0, or an intensity ratio nu within one of 0
+    or 1, is refused too: the steps would leave the parameter range.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -360,7 +351,10 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         raise IdentifiabilityError(
             f"separation tau = {model.tau!r} below the floor {tau_floor!r}; "
             f"parameters are not identifiable in this regime")
-    nu_step = float(_default_steps(model.theta)[2])
+    tau_step, _, nu_step = (float(h) for h in _default_steps(model.theta))
+    if model.tau - tau_step < 0.0:
+        raise IdentifiabilityError(f"separation tau = {model.tau!r} within the Fisher step "
+                                   f"{tau_step!r} of 0; the steps in tau would make it negative")
     if model.nu - nu_step < 0.0 or model.nu + nu_step > 1.0:
         raise IdentifiabilityError(
             f"intensity ratio nu = {model.nu!r} within the Fisher step {nu_step!r} "

@@ -68,6 +68,28 @@ def whole_line_gram(basis, n_modes, n_omega=None):
     return np.real(gram)
 
 
+def gaussian_derivative_rows(basis, sigma, tau0=0.0, n_derivs=3, n_omega=None):
+    """<d^m/dt^m g(t - tau0), psi_n> for m = 0..n_derivs, g the unit-norm Gaussian.
+
+    The transform of g is (8 pi sigma^2)^(1/4) exp(-sigma^2 w^2) in closed
+    form, a shift is the phase exp(-i w tau0) and a derivative the factor
+    (i w)^m; Parseval against the band transform of psi_n (see
+    ``whole_line_inner``) leaves a finite integral over the band.
+    """
+    om = basis.params.omega
+    if n_omega is None:
+        n_omega = 2 * max(64, math.ceil(3.0 * basis.params.c) + 48)
+    x, w = np.polynomial.legendre.leggauss(n_omega)
+    x = om * x
+    w = om * w
+    alpha = basis.weights * basis.samples / basis.lambdas[:, None]
+    psi_hat = np.exp(-1j * np.outer(x, basis.nodes)) @ alpha.T
+    g_hat = ((8.0 * math.pi * sigma * sigma) ** 0.25 * np.exp(-(sigma * x) ** 2)
+             * np.exp(-1j * x * tau0))
+    rows = [(1j * x) ** m * g_hat for m in range(n_derivs + 1)]
+    return np.real(np.array(rows) @ (w[:, None] * psi_hat.conj())) / (2.0 * math.pi)
+
+
 def window_inner(psi_n_vals, psi_m_vals, weights):
     """Window inner product on an externally chosen rule."""
     return float(np.dot(weights, psi_n_vals * psi_m_vals))

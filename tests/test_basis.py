@@ -7,7 +7,6 @@ import pytest
 from prolate import (EigensolverError, SlepianParams, build_basis, eval_psi,
                      extension_matrix, lambda0_curve, plunge_index, sinc_kernel,
                      sinc_kernel_dt)
-from prolate.basis import _kernel_derivatives
 from prolate.quadrature import gauss_legendre
 
 import oracles
@@ -46,31 +45,27 @@ class TestSincKernel:
         assert sinc_kernel_dt(u, 0.0, 1.0) == pytest.approx(exact, rel=1e-12)
 
     def test_derivatives_match_mpmath(self):
-        # orders 1..3 against 40-digit differentiation of sin(u)/(pi u), on
-        # both branches and on both sides of the switch at |u| = 1
+        # against 40-digit differentiation of sin(u)/(pi u), on both branches
+        # and on both sides of the switch at |u| = 1
         above = np.nextafter(1.0, 2.0)
         us = [1e-9, -1e-9, 1e-3, 0.3, 1.0, 2.0, 5.0, 50.0, 800.0, -2.0,
               above, -1.0, -above]
-        got = _kernel_derivatives(np.array(us), 0.0, 1.0, 3)
+        got = sinc_kernel_dt(np.array(us), 0.0, 1.0)
         for i, u in enumerate(us):
-            for n in (1, 2, 3):
-                with mp.workdps(40):
-                    exact = float(mp.diff(lambda x: mp.sin(x) / (mp.pi * x) if x else 1 / mp.pi,
-                                          mp.mpf(u), n))
-                scale = max(abs(exact), 1.0 / (1.0 + abs(u)))
-                assert abs(got[n - 1, i] - exact) <= 1e-13 * scale, (u, n)
+            with mp.workdps(40):
+                exact = float(mp.diff(lambda x: mp.sin(x) / (mp.pi * x) if x else 1 / mp.pi,
+                                      mp.mpf(u)))
+            scale = max(abs(exact), 1.0 / (1.0 + abs(u)))
+            assert abs(got[i] - exact) <= 1e-13 * scale, u
         # no jump between the last fixed-rule point and the first recurrence point
-        assert np.max(np.abs(got[:, 4] - got[:, 10])) < 1e-13
-        assert np.max(np.abs(got[:, 11] - got[:, 12])) < 1e-13
+        assert abs(got[4] - got[10]) < 1e-13
+        assert abs(got[11] - got[12]) < 1e-13
 
     def test_derivatives_scale_with_omega(self):
-        # K^(n)(x) = omega^(n+1)/pi s^(n)(omega x); order 1 is sinc_kernel_dt
+        # K'(x) = omega^2/pi s'(omega x)
         x = np.linspace(-0.7, 0.9, 17)
-        unit = _kernel_derivatives(3.0 * x, 0.0, 1.0, 3)
-        scaled = _kernel_derivatives(x, 0.0, 3.0, 3)
-        for n in (1, 2, 3):
-            assert np.allclose(scaled[n - 1], 3.0 ** (n + 1) * unit[n - 1], rtol=1e-14, atol=0.0)
-        assert np.array_equal(scaled[0], sinc_kernel_dt(x, 0.0, 3.0))
+        unit = sinc_kernel_dt(3.0 * x, 0.0, 1.0)
+        assert np.allclose(sinc_kernel_dt(x, 0.0, 3.0), 9.0 * unit, rtol=1e-14, atol=0.0)
 
 
 class TestBuildBasis:

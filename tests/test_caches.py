@@ -1,7 +1,8 @@
-"""Reuse of Gauss-Legendre rules and Nystrom extension blocks.
+"""Reuse of Gauss-Legendre rules, Nystrom extension blocks and band blocks.
 
-The reference for every cached result is the uncached formula it replaces:
-the extension onto all nodes of the real-line rule, applied in one product.
+The reference for every cached projection is the uncached formula it
+replaces: the extension onto all nodes of the real-line rule, applied in one
+product.  Band blocks are checked against a cold basis.
 """
 
 import math
@@ -168,3 +169,33 @@ def test_superres_row_matches_uncached_projection(monkeypatch, c, regime):
     design_ref, fisher_ref = row()
     assert np.all(np.abs(design_now - design_ref) <= 1e-11 * np.abs(design_ref))
     assert np.all(np.abs(fisher_now - fisher_ref) <= 1e-7 * np.abs(fisher_ref))
+
+
+def test_band_blocks_built_once_and_read_only():
+    basis = build_basis(SlepianParams(4.0))
+    sigma = default_psf_sigma(4.0)
+    first = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3), basis).gamma
+    (order, blocks), = basis._band_blocks.items()
+    for block in blocks:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 0.0
+    # a shifted Gaussian and a wider sech rule share the panel order and the blocks
+    gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3, tau0=0.6), basis)
+    gamma_modes(TwoPulseModel(sech_pulse(sigma), tau=0.3), basis)
+    assert list(basis._band_blocks) == [order]
+    assert all(a is b for a, b in zip(basis._band_blocks[order], blocks))
+    again = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3), basis).gamma
+    cold = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3),
+                       build_basis(SlepianParams(4.0))).gamma
+    assert np.array_equal(first, again) and np.array_equal(first, cold)
+
+
+def test_band_blocks_are_private_state():
+    a = build_basis(SlepianParams(4.0))
+    gamma_modes(TwoPulseModel(GaussianPsf(0.4), tau=0.3), a)
+    assert a._band_blocks and "_band_blocks" not in repr(a)
+    assert not replace(a)._band_blocks
+    assert not build_basis(SlepianParams(4.0))._band_blocks
+    with pytest.raises(AttributeError):
+        a._band_blocks = {}

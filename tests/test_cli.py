@@ -201,6 +201,15 @@ class TestSuperres:
         assert "Fisher step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tau_within_step_names_the_step(self, tmp_path, capsys):
+        # passes the default floor 1e-4 sigma = 8.2e-6 but not the Fisher step 1e-5
+        out = tmp_path / "never.csv"
+        code = main(["superres", "--c", "150", "--tau", "9e-6", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "tau = 9e-06" in err and "Fisher step" in err
+        assert not out.exists()
+
 
 class TestDeterminismAndConfig:
     def test_same_config_identical_bytes(self, tmp_path):

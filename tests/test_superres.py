@@ -41,7 +41,7 @@ def sample_design(row2=(0.55, 0.55, 0.0, 0.0)):
 
 
 class PlainGaussian:
-    """Gaussian without a derivative method, to force the integration-by-parts route."""
+    """The Gaussian as a bare callable, without the derivative method of GaussianPsf."""
 
     def __init__(self, sigma):
         self.sigma = sigma
@@ -73,8 +73,14 @@ def plain(psf):
     return lambda t: psf(t)
 
 
-def row_errors(a, b):
-    return np.linalg.norm(a.gamma - b.gamma, axis=1) / np.linalg.norm(a.gamma, axis=1)
+def row_errors(want, got):
+    return np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+
+
+def derivative_projections(psf, tau0, basis):
+    """project(psf.derivative(n)) of the shifted pulse, one projection per order."""
+    return np.vstack([project(lambda t, _n=n: psf.derivative(_n)(t - tau0), basis).coeffs
+                      for n in range(4)])
 
 
 class TestGaussianPsf:
@@ -142,16 +148,15 @@ class TestGammaModes:
         assert cosang < 1e-8
 
     def test_generic_route_matches_analytic(self, basis_cache):
-        # integration by parts against the Nystrom extension has no step size;
-        # its error grows like (omega sigma)^n over the smallest eigenvalue
-        for c, tol in ((1.2, 1e-9), (2.5, 1e-9), (5.0, 1e-9), (12.0, 1e-9),
-                       (20.0, 1e-9), (45.0, 1e-7)):
+        # one sampling of the pulse against four projections of its exact derivatives
+        for c in (1.2, 2.5, 5.0, 12.0, 20.0, 45.0):
             b = basis_cache(c)
             sigma = default_psf_sigma(c)
-            exact = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3, tau0=0.1), b)
             generic = gamma_modes(TwoPulseModel(PlainGaussian(sigma), tau=0.3, tau0=0.1), b)
-            assert np.array_equal(generic.gamma[0], exact.gamma[0])
-            assert np.max(row_errors(exact, generic)) < tol, c
+            exact = derivative_projections(GaussianPsf(sigma), 0.1, b)
+            assert np.array_equal(generic.gamma[0], project(
+                lambda t: PlainGaussian(sigma)(t - 0.1), b).coeffs)
+            assert np.max(row_errors(exact, generic.gamma)) < 1e-10, c
 
     def test_sech_routes_agree(self, basis_cache):
         for c in (2.5, 6.0):
@@ -162,9 +167,21 @@ class TestGammaModes:
             for n in (1, 2, 3):  # the closed forms themselves, by central differences
                 fd = (psf.derivative(n - 1)(t + h) - psf.derivative(n - 1)(t - h)) / (2 * h)
                 assert np.allclose(psf.derivative(n)(t), fd, rtol=1e-6, atol=1e-6)
-            exact = gamma_modes(TwoPulseModel(psf, tau=0.2, tau0=-0.05), b)
-            generic = gamma_modes(TwoPulseModel(plain(psf), tau=0.2, tau0=-0.05), b)
-            assert np.max(row_errors(exact, generic)) < 1e-9, c
+            got = gamma_modes(TwoPulseModel(psf, tau=0.2, tau0=-0.05), b).gamma
+            # the derivative method is never consulted
+            plain_rows = gamma_modes(TwoPulseModel(plain(psf), tau=0.2, tau0=-0.05), b).gamma
+            assert np.array_equal(got, plain_rows)
+            exact = derivative_projections(psf, -0.05, b)
+            assert np.max(row_errors(exact, got)) < 1e-10, c
+
+    @pytest.mark.parametrize("c", [1.2, 5.0, 20.0, 45.0, 100.0])
+    def test_rows_match_closed_form_transform(self, basis_cache, c):
+        b = basis_cache(c)
+        sigma = default_psf_sigma(c)
+        want = oracles.gaussian_derivative_rows(b, sigma, tau0=0.1)
+        for psf in (GaussianPsf(sigma), PlainGaussian(sigma)):
+            got = gamma_modes(TwoPulseModel(psf, tau=0.3, tau0=0.1), b).gamma
+            assert np.max(row_errors(want, got)) <= 1e-10, (c, type(psf).__name__)
 
     def test_former_step_size_failures_run_through(self, basis_cache):
         # a fixed finite-difference step of T/50 could not resolve these widths
@@ -396,6 +413,24 @@ class TestSuperresFisher:
         monkeypatch.setattr(superres, "_probe", no_probe)
         with pytest.raises(IdentifiabilityError, match="nu = .* Fisher step"):
             superres_fisher(replace(model5, nu=nu), povm, b5, "limited")
+
+    @pytest.mark.parametrize("tau", [0.0, 4e-6, 9e-6])
+    def test_tau_within_step_of_zero_refused(self, b5, model5, dbasis5, monkeypatch, tau):
+        # the step in tau is 1e-5 * (1 + tau); refused before any projection,
+        # also where tau passes the floor
+        povm = optimal_povm(sample_design(), dbasis5)
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("model evaluated")
+
+        monkeypatch.setattr(superres, "_probe", no_probe)
+        with pytest.raises(IdentifiabilityError, match="tau = .* Fisher step"):
+            superres_fisher(replace(model5, tau=tau), povm, b5, "limited", tau_floor=0.0)
+
+    def test_tau_clear_of_step_accepted(self, b5, model5, dbasis5):
+        povm = optimal_povm(sample_design(), dbasis5)
+        fm = superres_fisher(replace(model5, tau=2e-5), povm, b5, "ideal", tau_floor=0.0)
+        assert np.all(np.isfinite(fm.matrix))
 
     def test_nu_clear_of_boundary_accepted(self, b5, model5, dbasis5):
         povm = optimal_povm(sample_design(), dbasis5)
