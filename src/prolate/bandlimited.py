@@ -76,16 +76,16 @@ def project(f, basis: ProlateBasis, *, bandlimited: bool = False) -> Bandlimited
         fvals = np.asarray(f(basis.nodes), dtype=float)
         coeffs = (basis.samples * basis.weights) @ fvals / basis.lambdas
         return BandlimitedFunction(params=basis.params, coeffs=coeffs)
-    coeffs = _real_line_coeffs(f, basis, 0)[0]
-    return BandlimitedFunction(params=basis.params, coeffs=coeffs)
+    rows, _ = _pulse_rows(f, basis, (0.0,), 0)
+    return BandlimitedFunction(params=basis.params, coeffs=rows[0, 0])
 
 
-def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int) -> np.ndarray:
-    """Rows <f^(m), psi_n> for m = 0..n_derivs, from samples of f alone.
+def _pulse_rows(f, basis: ProlateBasis, shifts, n_derivs: int):
+    """Rows <d^m/dt^m f(t - s), psi_n>, indexed [s, m, n], and the energy of f.
 
-    Row 0 applies the Nystrom extension block.  Every psi_n is bandlimited, so
-    row m >= 1 is (1/2 pi) int (i w)^m F(w) conj(Psi_n(w)) dw over the band,
-    with F the transform of the samples: no derivative of f is taken.
+    f is sampled once on the real-line rule.  Every psi_n is bandlimited, so a
+    row is (1/2 pi) int (i w)^m exp(-i w s) F(w) conj(Psi_n(w)) dw over the
+    band, with F the transform of the samples.
     """
     _require_all_extendable(basis)
     T = basis.params.T
@@ -96,17 +96,19 @@ def _real_line_coeffs(f, basis: ProlateBasis, n_derivs: int) -> np.ndarray:
             f"tail of the integrand still significant at radius {rule.radius:g}; "
             "pass bandlimited=True if f is bandlimited",
             achieved=achieved)
-    wv = rule.weights * rule.values
-    coeffs = _extension_block(basis, rule) @ wv
-    if not n_derivs:
-        return coeffs[None, :]
     freqs, band, ref = _band_blocks(basis, rule.panel_order)
     # every panel is [a_p, a_p + T], so F = sum_p exp(-i w a_p) (ref @ wv_p)
     starts = np.array([lo for lo, _ in rule.panels])
+    wv = rule.weights * rule.values
     per_panel = ref @ wv.reshape(len(starts), rule.panel_order).T
     F = np.einsum("qp,qp->q", np.exp(-1j * np.outer(freqs, starts)), per_panel)
-    powers = (1j * freqs[:, None]) ** np.arange(1, n_derivs + 1)
-    return np.vstack([coeffs, (band @ (powers * F[:, None])).real.T])
+    phases = np.exp(-1j * np.outer(shifts, freqs))[:, None, :]
+    powers = (1j * freqs) ** np.arange(n_derivs + 1)[:, None]
+    # one matrix-vector product per row: row (0, 0) comes out the same for
+    # every shift list and order
+    columns = (phases * powers * F).reshape(-1, freqs.size)
+    rows = np.array([(band @ col).real for col in columns])
+    return rows.reshape(len(shifts), n_derivs + 1, basis.n_modes), rule.total_energy
 
 
 def _band_blocks(basis: ProlateBasis, order: int):
@@ -127,32 +129,6 @@ def _band_blocks(basis: ProlateBasis, order: int):
             a.flags.writeable = False
         basis._band_blocks[order] = blocks = freqs, band, ref
     return blocks
-
-
-def _extension_block(basis: ProlateBasis, rule) -> np.ndarray:
-    """``extension_matrix(basis, rule.nodes)``, cut from one block kept on the basis.
-
-    Every rule ``_real_line_coeffs`` builds on a basis has panels of width T
-    and one order, so its panels are the middle ones of any wider rule.  The
-    basis keeps one block per panel order, over the widest rule seen so far.
-    A wider rule grows it outward into a new array, one new panel at a time;
-    a published block is never written to.
-    """
-    m, n = rule.panel_order, rule.nodes.size
-    block = basis._extension_blocks.get(m)
-    if block is None or block.shape[1] < n:
-        have = 0 if block is None else block.shape[1]
-        inner = slice((n - have) // 2, (n + have) // 2)
-        grown = np.empty((basis.n_modes, n))
-        if have:
-            grown[:, inner] = block
-        for start in [*range(0, inner.start, m), *range(inner.stop, n, m)]:
-            part = slice(start, start + m)
-            grown[:, part] = extension_matrix(basis, rule.nodes[part])
-        grown.flags.writeable = False
-        basis._extension_blocks[m] = block = grown
-    lo = (block.shape[1] - n) // 2
-    return block[:, lo:lo + n]
 
 
 def synthesize(g: BandlimitedFunction, basis: ProlateBasis, t):

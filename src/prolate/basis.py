@@ -90,12 +90,10 @@ class ProlateBasis:
     """Computed family psi_0..psi_n_max for one (c, T) configuration.
 
     Immutable after construction; safe to share across threads.  It carries
-    private, lazily filled caches of read-only arrays: the Nystrom extension
-    onto the panels of the widest real-line rule ``project`` has used on it,
-    one block that a wider rule replaces with a grown copy; and, per panel
-    order, the band blocks B and R of ``gamma_modes`` (at c = 45, 126 KB and
-    305 KB).  Two threads filling a cache at once each build their own copy
-    and the last one stored is kept; no result changes.
+    one private, lazily filled cache of read-only arrays: per panel order,
+    the band blocks B and R through which every whole-line projection runs
+    (at c = 45, 126 KB and 305 KB).  Two threads filling it at once each
+    build their own copy and the last one stored is kept; no result changes.
 
     Attributes
     ----------
@@ -111,8 +109,6 @@ class ProlateBasis:
     weights: np.ndarray
     lambdas: np.ndarray
     samples: np.ndarray
-    _extension_blocks: dict = field(default_factory=dict, init=False,
-                                    repr=False, compare=False, hash=False)
     _band_blocks: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False, hash=False)
 

@@ -38,6 +38,7 @@ _DEFAULT_DESIGN = (0.7, math.pi / 3.0, 0.7, math.pi / 3.0 - 1.2)
 # third element mixes phi_0 and phi_1: needed so the centroid and the
 # intensity ratio stay identifiable at the symmetric point
 _DEFAULT_ROW2 = (0.55, 0.55, 0.0, 0.0)
+_MAX_GRID_POINTS = 10 ** 6  # a larger grid is refused before one value is made
 
 
 class ConfigError(ValueError):
@@ -69,7 +70,10 @@ def grid_values(start: float, stop: float, step: float) -> tuple:
     if step <= 0.0 or stop < start:
         raise ConfigError(f"grid {start}:{stop}:{step} must have positive step "
                           f"and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:  # also refuses inf and nan
+        raise ConfigError(f"grid {start}:{stop}:{step} holds more than {_MAX_GRID_POINTS} points")
+    count = int(math.floor(span)) + 1
     return tuple(start + i * step for i in range(count))
 
 

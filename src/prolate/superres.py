@@ -16,14 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ProlateBasis
-from .bandlimited import _real_line_coeffs, project
+from .bandlimited import _pulse_rows
 from .errors import IdentifiabilityError, PovmValidityError, RankDeficiencyError
 from .hermite import hermite_polynomial
 from .metrology import (POVM_SLACK, FisherMatrix, Povm, PovmElement, ProbeState,
                         _default_steps, fisher_matrix, probabilities_ideal,
                         probabilities_limited, probabilities_truncated)
 from .params import SlepianParams
-from .quadrature import real_line_rule
 
 REGIMES = ("ideal", "limited", "truncated")
 #: derivative orders 0..N_DERIVS span the optimal measurement's modes
@@ -100,23 +99,23 @@ class TwoPulseModel:
         return np.array([self.tau, self.tau0, self.nu])
 
 
-def _require_unit_norm(psf, basis: ProlateBasis) -> None:
-    if not isinstance(psf, GaussianPsf):
-        err = abs(real_line_rule(psf, basis.params.T, rel_tol=1e-9).total_energy - 1.0)
-        if err > 1e-6:
-            raise ValueError(f"point spread function is not unit-norm (|error| = {err:.3e})")
+def _pulse_modes(model: TwoPulseModel, basis: ProlateBasis, shifts, n_derivs: int):
+    # rows of Psf(t - tau0) at each shift from one sampling, whose energy also
+    # shows a pulse that is not unit-norm or too narrow for the rule to resolve
+    rows, energy = _pulse_rows(lambda t: model.psf(t - model.tau0), basis,
+                               shifts, n_derivs)
+    err = abs(energy - 1.0)
+    if not err <= 1e-6:
+        raise ValueError(f"point spread function is not unit-norm, or narrower than "
+                         f"the real-line rule resolves (|energy - 1| = {err:.3e})")
+    return rows
 
 
 def _probe(model: TwoPulseModel, basis: ProlateBasis,
            modes: np.ndarray | None = None) -> ProbeState:
-    # probe_from_model without the norm check, for callers that made it once;
-    # ``modes`` passes rows already projected for the same tau and tau0
+    # ``modes`` passes rows already made for the same tau and tau0
     if modes is None:
-        shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
-        modes = np.vstack([
-            project(lambda t, _s=s: np.asarray(model.psf(t - _s), dtype=float),
-                    basis).coeffs
-            for s in shifts])
+        modes = _pulse_modes(model, basis, (0.5 * model.tau, -0.5 * model.tau), 0)[:, 0]
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
                       modes=modes, params=basis.params)
 
@@ -125,10 +124,11 @@ def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     """Probe state of the two-pulse mixture in the prolate coefficient space.
 
     Rows are the projections of the shifted pulses Psf(t - tau0 -/+ tau/2)
-    with weights (nu, 1 - nu).  The rows overlap for small tau, so this is a
-    non-orthogonal convex decomposition -- probabilities do not care.
+    with weights (nu, 1 - nu), both from one sampling of Psf(t - tau0).  The
+    rows overlap for small tau, so this is a non-orthogonal convex
+    decomposition -- probabilities do not care.  A pulse that is not
+    unit-norm, or too narrow for the real-line rule, raises ValueError.
     """
-    _require_unit_norm(model.psf, basis)
     return _probe(model, basis)
 
 
@@ -157,11 +157,12 @@ class DerivativeBasis:
 def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
     """Project the derivative family d^n/dt^n Psf(t - tau0), n = 0..N_DERIVS.
 
-    The pulse is sampled once.  Row 0 is its projection; rows n >= 1 take
-    the transform of the samples times (i w)^n over the band of the basis:
-    no step size enters and no derivative of the pulse is needed.
+    The pulse is sampled once, and must be unit-norm and resolved by the
+    real-line rule.  Row 0 is its projection; rows n >= 1 take the transform
+    of the samples times (i w)^n over the band of the basis: no step size
+    enters and no derivative of the pulse is needed.
     """
-    gamma = _real_line_coeffs(lambda t: model.psf(t - model.tau0), basis, N_DERIVS)
+    gamma = _pulse_modes(model, basis, (0.0,), N_DERIVS)[0]
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 
@@ -359,9 +360,6 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         raise IdentifiabilityError(
             f"intensity ratio nu = {model.nu!r} within the Fisher step {nu_step!r} "
             f"of 0 or 1; the steps in nu would leave [0, 1]")
-    # every model evaluation below shares this pulse
-    _require_unit_norm(model.psf, basis)
-
     if regime == "ideal":
         def route(probe):
             return probabilities_ideal(probe, povm)
@@ -372,7 +370,7 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         def route(probe):
             return probabilities_truncated(probe, povm, basis.params.c)
 
-    # the steps in nu keep theta's shifts, so rows are projected once per (tau, tau0)
+    # the steps in nu keep theta's shifts, so the pulse is sampled once per (tau, tau0)
     rows = {}
 
     def prob_model(theta):

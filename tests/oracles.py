@@ -6,9 +6,11 @@ a finer independent quadrature rule, or a closed form.  None of them import
 the functions they are used to validate.
 """
 
+import functools
 import math
 
 import numpy as np
+from scipy import special
 
 
 def dense_nystrom_lambdas(c, T=1.0, order=640, n_top=12):
@@ -68,25 +70,40 @@ def whole_line_gram(basis, n_modes, n_omega=None):
     return np.real(gram)
 
 
-def gaussian_derivative_rows(basis, sigma, tau0=0.0, n_derivs=3, n_omega=None):
-    """<d^m/dt^m g(t - tau0), psi_n> for m = 0..n_derivs, g the unit-norm Gaussian.
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n):
+    return special.roots_legendre(n)
 
-    The transform of g is (8 pi sigma^2)^(1/4) exp(-sigma^2 w^2) in closed
-    form, a shift is the phase exp(-i w tau0) and a derivative the factor
-    (i w)^m; Parseval against the band transform of psi_n (see
-    ``whole_line_inner``) leaves a finite integral over the band.
+
+def gaussian_transform(sigma):
+    """Transform of the unit-norm Gaussian (2 pi s^2)^(-1/4) exp(-t^2 / (4 s^2))."""
+    return lambda w: (8.0 * math.pi * sigma * sigma) ** 0.25 * np.exp(-(sigma * w) ** 2)
+
+
+def sech_transform(width):
+    """Transform pi w sech(pi w omega / 2) / sqrt(2 w) of the unit-norm sech(t / w) / sqrt(2 w)."""
+    return lambda w: (math.pi * width / math.sqrt(2.0 * width)
+                      / np.cosh(0.5 * math.pi * width * w))
+
+
+def transform_rows(basis, g_hat, tau0=0.0, n_derivs=3, n_omega=None):
+    """<d^m/dt^m g(t - tau0), psi_n> for m = 0..n_derivs, from g's transform g_hat.
+
+    A shift is the phase exp(-i w tau0) and a derivative the factor (i w)^m;
+    Parseval against the band transform of psi_n (see ``whole_line_inner``)
+    leaves a finite integral over the band, taken on an ``n_omega`` point
+    Gauss-Legendre rule (scipy's, which stays fast at thousands of points).
     """
     om = basis.params.omega
     if n_omega is None:
         n_omega = 2 * max(64, math.ceil(3.0 * basis.params.c) + 48)
-    x, w = np.polynomial.legendre.leggauss(n_omega)
+    x, w = _legendre_rule(n_omega)
     x = om * x
     w = om * w
     alpha = basis.weights * basis.samples / basis.lambdas[:, None]
     psi_hat = np.exp(-1j * np.outer(x, basis.nodes)) @ alpha.T
-    g_hat = ((8.0 * math.pi * sigma * sigma) ** 0.25 * np.exp(-(sigma * x) ** 2)
-             * np.exp(-1j * x * tau0))
-    rows = [(1j * x) ** m * g_hat for m in range(n_derivs + 1)]
+    shifted = g_hat(x) * np.exp(-1j * x * tau0)
+    rows = [(1j * x) ** m * shifted for m in range(n_derivs + 1)]
     return np.real(np.array(rows) @ (w[:, None] * psi_hat.conj())) / (2.0 * math.pi)
 
 

@@ -1,8 +1,8 @@
-"""Reuse of Gauss-Legendre rules, Nystrom extension blocks and band blocks.
+"""Reuse of Gauss-Legendre rules and band blocks.
 
-The reference for every cached projection is the uncached formula it
-replaces: the extension onto all nodes of the real-line rule, applied in one
-product.  Band blocks are checked against a cold basis.
+The reference for the probe rows is the time-domain route the band route
+replaced: one real-line rule per shifted pulse and the Nystrom extension
+onto all of its nodes.  Band blocks are checked against a cold basis.
 """
 
 import math
@@ -12,13 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import prolate.bandlimited as bandlimited
 import prolate.superres as superres
-from prolate import (GaussianPsf, SlepianParams, TwoPulseModel, band_energy_fraction,
-                     build_basis, crb, default_psf_sigma, design_from_sphere,
-                     efficiency_bounds, efficiency_factor, extension_matrix,
-                     gamma_modes, gram_schmidt, optimal_povm, project,
-                     superres_fisher, time_limited_design)
-from prolate.bandlimited import BandlimitedFunction
+from prolate import (GaussianPsf, ProbeState, SlepianParams, TwoPulseModel,
+                     band_energy_fraction, build_basis, crb, default_psf_sigma,
+                     design_from_sphere, efficiency_bounds, efficiency_factor,
+                     extension_matrix, gamma_modes, gram_schmidt, optimal_povm,
+                     project, superres_fisher, time_limited_design)
 from prolate.quadrature import _reference_rule, gauss_legendre, real_line_rule
 
 
@@ -26,13 +26,17 @@ def sech_pulse(w):
     return lambda t: 1.0 / (np.cosh(np.asarray(t, dtype=float) / w) * math.sqrt(2.0 * w))
 
 
-def uncached_project(f, basis):
-    """The projection without the block cache: one extension onto all nodes."""
+def time_domain_probe(model, basis, modes=None):
+    """The probe without the band route: a rule per shifted pulse, extended onto its nodes."""
     T = basis.params.T
-    rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T)
-    assert rule.converged
-    coeffs = extension_matrix(basis, rule.nodes) @ (rule.weights * rule.values)
-    return BandlimitedFunction(params=basis.params, coeffs=coeffs)
+    rows = []
+    for s in (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau):
+        rule = real_line_rule(lambda t, _s=s: model.psf(t - _s), T,
+                              max_freq=2.0 * basis.params.omega + 16.0 / T)
+        assert rule.converged
+        rows.append(extension_matrix(basis, rule.nodes) @ (rule.weights * rule.values))
+    return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]), modes=np.array(rows),
+                      params=basis.params)
 
 
 def test_leggauss_runs_once_per_order(monkeypatch):
@@ -61,26 +65,6 @@ def test_cached_rule_and_blocks_are_read_only():
     nodes, weights = gauss_legendre(40, -2.0, 3.0)
     assert nodes.flags.writeable and weights.flags.writeable  # caller's own copies
 
-    basis = build_basis(SlepianParams(4.0))
-    project(GaussianPsf(0.4), basis)
-    blocks = list(basis._extension_blocks.values())
-    assert blocks
-    for block in blocks:
-        assert not block.flags.writeable
-        with pytest.raises(ValueError):
-            block[0, 0] = 1.0
-
-
-def test_block_cache_is_private_state():
-    a = build_basis(SlepianParams(4.0))
-    b = build_basis(SlepianParams(4.0))
-    project(GaussianPsf(0.4), a)
-    assert a._extension_blocks and not b._extension_blocks
-    assert "_extension_blocks" not in repr(a)
-    assert not replace(a)._extension_blocks
-    with pytest.raises(AttributeError):
-        a._extension_blocks = {}
-
 
 def test_warm_projection_bit_identical_to_cold():
     psf = sech_pulse(default_psf_sigma(3.0))
@@ -92,22 +76,6 @@ def test_warm_projection_bit_identical_to_cold():
     warm = project(lambda t: psf(t - 0.4), warm_basis).coeffs
     assert np.array_equal(cold, warm)
     assert np.array_equal(cold, project(lambda t: psf(t - 0.4), cold_basis).coeffs)
-
-
-@pytest.mark.parametrize("c", [2.5, 5.0, 12.0, 20.0, 45.0])
-def test_cached_coefficients_match_uncached_extension(c):
-    basis = build_basis(SlepianParams(c))
-    sigma = default_psf_sigma(c)
-    gauss = GaussianPsf(sigma)
-    pulses = [gauss.derivative(k) for k in range(4)] + [sech_pulse(sigma)]
-    worst = 0.0
-    for f in pulses:
-        for s in (0.0, 0.35, -0.8, 1.5):
-            g = lambda t, _f=f, _s=s: _f(t - _s)
-            got = project(g, basis).coeffs
-            want = uncached_project(g, basis).coeffs
-            worst = max(worst, np.max(np.abs(got - want)) / np.linalg.norm(want))
-    assert worst < 1e-10
 
 
 class PlainGaussian:
@@ -129,20 +97,23 @@ def _fisher_inputs(c, psf):
 
 
 def test_superres_fisher_checks_pulse_norm_once(monkeypatch):
+    # the norm comes with each sampling: 9 distinct (tau, tau0), one rule each,
+    # and no rule of its own
     rules = Counter()
-    original = superres.real_line_rule
+    original = bandlimited.real_line_rule
 
     def counted(*args, **kwargs):
-        rules["norm"] += 1
+        rules["rule"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(superres, "real_line_rule", counted)
+    monkeypatch.setattr(bandlimited, "real_line_rule", counted)
     c = 4.0
     basis, model, dbasis, design = _fisher_inputs(c, PlainGaussian(default_psf_sigma(c)))
     povm = optimal_povm(design, dbasis)
+    rules.clear()
     tau_floor = 1e-4 * default_psf_sigma(c)
     superres_fisher(model, povm, basis, "limited", tau_floor=tau_floor)
-    assert rules["norm"] == 1
+    assert rules["rule"] == 9
 
     unnormalized = replace(model, psf=PlainGaussian(default_psf_sigma(c), scale=1.5))
     with pytest.raises(ValueError, match="not unit-norm"):
@@ -152,7 +123,7 @@ def test_superres_fisher_checks_pulse_norm_once(monkeypatch):
 @pytest.mark.parametrize("c, regime", [(3.0, "ideal"), (6.0, "limited"),
                                        (12.0, "truncated")])
 def test_superres_row_matches_uncached_projection(monkeypatch, c, regime):
-    """CLI row quantities agree with the uncached route to the stated bounds:
+    """CLI row quantities agree with the time-domain probe to the stated bounds:
     A and the efficiency bounds to 1e-11, F_tautau and the CRBs to 1e-7."""
 
     def row():
@@ -165,7 +136,7 @@ def test_superres_row_matches_uncached_projection(monkeypatch, c, regime):
             np.array([fisher.matrix[0, 0], *crb(fisher)])
 
     design_now, fisher_now = row()
-    monkeypatch.setattr(superres, "project", uncached_project)
+    monkeypatch.setattr(superres, "_probe", time_domain_probe)
     design_ref, fisher_ref = row()
     assert np.all(np.abs(design_now - design_ref) <= 1e-11 * np.abs(design_ref))
     assert np.all(np.abs(fisher_now - fisher_ref) <= 1e-7 * np.abs(fisher_ref))

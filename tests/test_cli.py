@@ -10,8 +10,8 @@ import pytest
 
 import prolate
 from prolate import lambda0_curve
-from prolate.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main,
-                         parse_grid)
+from prolate.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, ConfigError,
+                         main, parse_grid)
 
 
 def read_rows(path):
@@ -41,6 +41,27 @@ def test_parse_grid():
     assert len(parse_grid("0.1:10:0.1")) == 100
     with pytest.raises(Exception):
         parse_grid("5:4:1")
+
+
+def test_grid_point_limit():
+    assert len(parse_grid("1:1000000:1")) == 10 ** 6
+    with pytest.raises(ConfigError, match="more than 1000000 points"):
+        parse_grid("0:1000000:1")
+
+
+def test_huge_grid_refused_before_building(tmp_path):
+    # 10^12 points; the child's address space is capped, so a grid that is
+    # built before the check fails there instead of filling the machine
+    env = dict(os.environ, PYTHONPATH=str(Path(prolate.__file__).parents[1]))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from prolate.cli import main\n"
+              "sys.exit(main(['lambda0', '--c-grid', '1:2:1e-12', '--out', 'never.csv']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "more than 1000000 points" in proc.stderr
+    assert not (tmp_path / "never.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["lambda0", "--c-grid", "0.5:20:0.5"],
@@ -199,6 +220,18 @@ class TestSuperres:
                      "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert "Fisher step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unresolved_pulse_refused(self, tmp_path, capsys):
+        # sigma = 0.001 is far below what the real-line rule at c = 5 resolves:
+        # the sampled energy is off by 0.15 and every row would be wrong
+        out = tmp_path / "never.csv"
+        code = main(["superres", "--c", "5", "--tau", "0.3", "--sigma", "0.001",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "not unit-norm" in err and "narrower than the real-line rule" in err
+        assert "|energy - 1| = 1.4" in err
         assert not out.exists()
 
     def test_tau_within_step_names_the_step(self, tmp_path, capsys):

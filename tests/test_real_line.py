@@ -1,9 +1,9 @@
-"""Whole-line projections: the paired real-line rule, the grown extension
-block and the Fisher rows shared across steps in nu.
+"""Whole-line projections: the paired real-line rule, one sampling per call
+and the Fisher rows shared across steps in nu.
 
 The references are the plain formulas these replace: a rule that samples
-one panel at a time through ``gauss_legendre``, the Nystrom extension onto
-each panel on its own, and ``fisher_matrix`` over ``probe_from_model``.
+one panel at a time through ``gauss_legendre``, and ``fisher_matrix`` over
+``probe_from_model``.
 """
 
 import math
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import prolate.bandlimited as bandlimited
-import prolate.superres as superres
 from prolate import (GaussianPsf, SlepianParams, TwoPulseModel, build_basis,
                      default_psf_sigma, design_from_sphere, fisher_matrix,
                      gamma_modes, gram_schmidt, optimal_povm,
@@ -94,39 +93,28 @@ def test_rule_fields_match_per_panel_sampling(T, name):
         assert not got.converged and got.radius == pytest.approx(20.0 * T)
 
 
-def test_block_grows_outward_and_extends_each_panel_once(monkeypatch):
+@pytest.mark.parametrize("name", ["gaussian", "sech"])
+def test_one_rule_per_call(monkeypatch, name):
+    # each call samples its pulse once; a probe's two shifted rows and its
+    # norm check come from that one sampling
     basis = build_basis(SlepianParams(5.0))
-    extended = Counter()
-    original = bandlimited.extension_matrix
+    psf = PULSES[name]
+    rules = Counter()
+    original = bandlimited.real_line_rule
 
-    def counted(b, t, indices=None):
-        for x in np.atleast_1d(t):
-            extended[float(x)] += 1
-        return original(b, t, indices)
+    def counted(*args, **kwargs):
+        rules["rule"] += 1
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(bandlimited, "extension_matrix", counted)
-    narrow, wide = GaussianPsf(0.2), sech_pulse(0.6)
-    first = project(narrow, basis).coeffs
-    (block,) = basis._extension_blocks.values()
-    snapshot = block.copy()
-    project(wide, basis)
-    (grown,) = basis._extension_blocks.values()
-    third = project(narrow, basis).coeffs
-
-    assert grown is not block and grown.shape[1] > block.shape[1]
-    assert np.array_equal(block, snapshot)  # the published block was not written
-    assert not grown.flags.writeable
-    assert set(extended.values()) == {1}
-    assert sum(extended.values()) == grown.shape[1]
-    assert np.array_equal(third, first)
-
-    # every panel of the grown block is the extension onto that panel alone
-    rule = real_line_rule(wide, 1.0, max_freq=2.0 * basis.params.omega + 16.0)
-    m = rule.panel_order
-    assert rule.nodes.size == grown.shape[1]
-    for i in range(len(rule.panels)):
-        part = slice(i * m, (i + 1) * m)
-        assert np.array_equal(grown[:, part], original(basis, rule.nodes[part]))
+    monkeypatch.setattr(bandlimited, "real_line_rule", counted)
+    model = TwoPulseModel(psf, tau=0.3, tau0=0.1)
+    for call in (lambda: project(psf, basis), lambda: gamma_modes(model, basis),
+                 lambda: probe_from_model(model, basis)):
+        rules.clear()
+        call()
+        assert rules["rule"] == 1
+    row0 = gamma_modes(replace(model, tau0=0.0), basis).gamma[0]
+    assert np.array_equal(row0, project(psf, basis).coeffs)
 
 
 @pytest.mark.parametrize("regime", ["ideal", "limited", "truncated"])
@@ -150,15 +138,16 @@ def test_superres_fisher_shares_rows_across_nu_steps(monkeypatch, regime):
     want = fisher_matrix(prob_model, model.theta, labels=("tau", "tau0", "nu"))
 
     calls = Counter()
-    original = superres.project
+    original = bandlimited.real_line_rule
 
     def counted(*args, **kwargs):
-        calls["project"] += 1
+        calls["rule"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(superres, "project", counted)
+    # one sampling per distinct (tau, tau0), each giving both shifted rows
+    monkeypatch.setattr(bandlimited, "real_line_rule", counted)
     got = superres_fisher(model, povm, basis, regime)
-    assert calls["project"] == 18
+    assert calls["rule"] == 9
     assert np.array_equal(got.matrix, want.matrix)
     assert got.labels == want.labels and np.array_equal(got.steps, want.steps)
     assert got.excluded_outcomes == want.excluded_outcomes

@@ -123,6 +123,24 @@ class TestProbeFromModel:
         got = float(np.dot(probe.modes[0], probe.modes[1]))
         assert got == pytest.approx(oracles.gaussian_overlap(tau, sigma), abs=1e-6)
 
+    @pytest.mark.parametrize("c", [2.5, 5.0, 12.0, 20.0, 45.0])
+    def test_rows_match_closed_form_transform(self, basis_cache, c):
+        # projections and probe rows of shifted pulses; the oracle's default
+        # band rule adds its own error of about 1e-10 at c = 45 and shift 1.5
+        b = basis_cache(c)
+        sigma = default_psf_sigma(c)
+        for psf, g_hat in ((GaussianPsf(sigma), oracles.gaussian_transform(sigma)),
+                           (SechPsf(sigma), oracles.sech_transform(sigma))):
+            for s in (0.0, 0.35, -0.8, 1.5):
+                probe = probe_from_model(TwoPulseModel(psf, tau=0.3, tau0=s - 0.15), b)
+                rows = ((project(lambda t: psf(t - s), b).coeffs, s),
+                        (probe.modes[0], s), (probe.modes[1], s - 0.3))
+                for got, shift in rows:
+                    want = oracles.transform_rows(b, g_hat, shift, n_derivs=0,
+                                                  n_omega=4000 if shift else None)
+                    assert row_errors(want, got[None, :])[0] <= 1e-10, \
+                        (c, type(psf).__name__, shift)
+
     def test_rejects_unnormalized_generic_psf(self, b5):
         bad = lambda t: 2.0 * GaussianPsf(0.5)(t)
         with pytest.raises(ValueError):
@@ -178,7 +196,7 @@ class TestGammaModes:
     def test_rows_match_closed_form_transform(self, basis_cache, c):
         b = basis_cache(c)
         sigma = default_psf_sigma(c)
-        want = oracles.gaussian_derivative_rows(b, sigma, tau0=0.1)
+        want = oracles.transform_rows(b, oracles.gaussian_transform(sigma), tau0=0.1)
         for psf in (GaussianPsf(sigma), PlainGaussian(sigma)):
             got = gamma_modes(TwoPulseModel(psf, tau=0.3, tau0=0.1), b).gamma
             assert np.max(row_errors(want, got)) <= 1e-10, (c, type(psf).__name__)
