@@ -14,7 +14,7 @@ from .basis import (LAMBDA_FLOOR, ProlateBasis, build_basis, default_quad_order,
 from .errors import (EigensolverError, IdentifiabilityError,
                      PovmValidityError, ProlateError, QuadratureError,
                      RankDeficiencyError, SingularFisherError)
-from .hermite import HermiteGaussMode, hermite_function, hermite_polynomial, hg_eval
+from .hermite import HermiteGaussMode, hermite_function, hg_eval
 from .metrology import (FisherMatrix, Povm, PovmElement, ProbeState, crb,
                         fisher_matrix, probabilities_ideal, probabilities_limited,
                         probabilities_truncated, time_limit_povm)
@@ -35,7 +35,7 @@ __all__ = [
     "EigensolverError", "IdentifiabilityError",
     "PovmValidityError", "ProlateError", "QuadratureError",
     "RankDeficiencyError", "SingularFisherError",
-    "HermiteGaussMode", "hermite_function", "hermite_polynomial", "hg_eval",
+    "HermiteGaussMode", "hermite_function", "hg_eval",
     "FisherMatrix", "Povm", "PovmElement", "ProbeState", "crb",
     "fisher_matrix", "probabilities_ideal", "probabilities_limited",
     "probabilities_truncated", "time_limit_povm",

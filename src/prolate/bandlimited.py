@@ -76,16 +76,18 @@ def project(f, basis: ProlateBasis, *, bandlimited: bool = False) -> Bandlimited
         fvals = np.asarray(f(basis.nodes), dtype=float)
         coeffs = (basis.samples * basis.weights) @ fvals / basis.lambdas
         return BandlimitedFunction(params=basis.params, coeffs=coeffs)
-    rows, _ = _pulse_rows(f, basis, (0.0,), 0)
+    rows, _ = _pulse_rows(f, basis, (0.0,), 0,
+                          hint="; pass bandlimited=True if f is bandlimited")
     return BandlimitedFunction(params=basis.params, coeffs=rows[0, 0])
 
 
-def _pulse_rows(f, basis: ProlateBasis, shifts, n_derivs: int):
+def _pulse_rows(f, basis: ProlateBasis, shifts, n_derivs: int, hint: str = ""):
     """Rows <d^m/dt^m f(t - s), psi_n>, indexed [s, m, n], and the energy of f.
 
     f is sampled once on the real-line rule.  Every psi_n is bandlimited, so a
     row is (1/2 pi) int (i w)^m exp(-i w s) F(w) conj(Psi_n(w)) dw over the
-    band, with F the transform of the samples.
+    band, with F the transform of the samples.  ``hint`` ends the message of
+    the QuadratureError raised when the rule does not converge.
     """
     _require_all_extendable(basis)
     T = basis.params.T
@@ -93,8 +95,7 @@ def _pulse_rows(f, basis: ProlateBasis, shifts, n_derivs: int):
     if not rule.converged:
         achieved = math.sqrt(rule.tail_energy / max(rule.total_energy, 1e-300))
         raise QuadratureError(
-            f"tail of the integrand still significant at radius {rule.radius:g}; "
-            "pass bandlimited=True if f is bandlimited",
+            f"tail of the integrand still significant at radius {rule.radius:g}{hint}",
             achieved=achieved)
     freqs, band, ref = _band_blocks(basis, rule.panel_order)
     # every panel is [a_p, a_p + T], so F = sum_p exp(-i w a_p) (ref @ wv_p)

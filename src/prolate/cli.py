@@ -67,11 +67,14 @@ class RunConfig:
 
 
 def grid_values(start: float, stop: float, step: float) -> tuple:
+    for name, x in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(x):
+            raise ConfigError(f"grid {start}:{stop}:{step} has a non-finite {name}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"grid {start}:{stop}:{step} must have positive step "
                           f"and stop >= start")
     span = (stop - start) / step + 1e-9
-    if not span < _MAX_GRID_POINTS:  # also refuses inf and nan
+    if not span < _MAX_GRID_POINTS:  # also refuses a span that overflows
         raise ConfigError(f"grid {start}:{stop}:{step} holds more than {_MAX_GRID_POINTS} points")
     count = int(math.floor(span)) + 1
     return tuple(start + i * step for i in range(count))
@@ -150,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMON_KEYS = ("T", "n_max", "quad_order", "out", "format")
 _SUPERRES_KEYS = ("tau0", "nu", "sigma", "regime")
+_FLAGS = {"c_values": "--c", "tau_values": "--tau"}  # other fields are named as their flag
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -233,6 +237,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.tau_values = tuple(float(t) for t in tau_values)
         if any(t <= 0.0 for t in cfg.tau_values):
             raise ConfigError("all tau values must be positive")
+    for key, value in asdict(cfg).items():
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     return cfg
 
 

@@ -1,4 +1,4 @@
-"""Hermite polynomials and Hermite-Gauss comparison modes."""
+"""Hermite functions and Hermite-Gauss comparison modes."""
 
 from __future__ import annotations
 
@@ -6,20 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def hermite_polynomial(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h
 
 
 def hermite_function(n: int, x):

@@ -18,7 +18,6 @@ import numpy as np
 from .basis import ProlateBasis
 from .bandlimited import _pulse_rows
 from .errors import IdentifiabilityError, PovmValidityError, RankDeficiencyError
-from .hermite import hermite_polynomial
 from .metrology import (POVM_SLACK, FisherMatrix, Povm, PovmElement, ProbeState,
                         _default_steps, fisher_matrix, probabilities_ideal,
                         probabilities_limited, probabilities_truncated)
@@ -48,20 +47,6 @@ class GaussianPsf:
     def __call__(self, t):
         s2 = self.sigma * self.sigma
         return (2.0 * math.pi * s2) ** -0.25 * np.exp(-np.asarray(t, dtype=float) ** 2 / (4.0 * s2))
-
-    def derivative(self, n: int):
-        """Exact n-th derivative as a callable (Hermite polynomial times self)."""
-        if n < 0:
-            raise ValueError("derivative order must be >= 0")
-        if n == 0:
-            return self
-        scale = (-0.5 / self.sigma) ** n
-
-        def dn(t, _s=scale, _n=n):
-            x = np.asarray(t, dtype=float) / (2.0 * self.sigma)
-            return _s * hermite_polynomial(_n, x) * self(t)
-
-        return dn
 
 
 def default_psf_sigma(c: float) -> float:
@@ -167,52 +152,44 @@ def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
 
 
 def gram_schmidt(dbasis: DerivativeBasis) -> DerivativeBasis:
-    """Orthonormalize the derivative rows (modified Gram-Schmidt).
+    """Orthonormalize the derivative rows by one QR factorization.
 
-    Output rows are orthonormal, row k mixes input rows 0..k only, and the
-    triangular transform has a positive diagonal.  Rank deficiency is
-    reported with the first offending row index.
+    gamma^T = Q R with diag(R) > 0, so phi = Q^T has orthonormal rows, row k
+    mixes gamma rows 0..k only, and transform = (R^-1)^T is lower triangular
+    with a positive diagonal.  Dependent rows raise RankDeficiencyError; a
+    zero row is named by its index.
     """
     gamma = dbasis.gamma
     n, m = gamma.shape
-    norms = np.linalg.norm(gamma, axis=1)
+    if m < n:
+        raise RankDeficiencyError(f"{n} derivative rows cannot be independent in "
+                                  f"{m} coefficient columns")
+    q, r = np.linalg.qr(gamma.T)
+    norms = np.linalg.norm(r, axis=0)  # |gamma_k|, as Q is orthonormal
     if np.any(norms <= 0.0):
         raise RankDeficiencyError("zero derivative row", index=int(np.argmin(norms)))
-    corr = (gamma / norms[:, None]) @ (gamma / norms[:, None]).T
-    if np.linalg.det(corr) < RANK_TOL:
+    # share of |gamma_k|^2 outside the span of rows 0..k-1; their product is
+    # the determinant of the normalized Gram matrix
+    kept = (np.diag(r) / norms) ** 2
+    det = float(np.prod(kept))
+    if det < RANK_TOL:
         raise RankDeficiencyError(
             f"derivative rows nearly dependent (normalized Gram determinant "
-            f"{np.linalg.det(corr):.3e} < {RANK_TOL:.1e})")
-
-    phi = np.zeros((n, m))
-    transform = np.zeros((n, n))
-    for k in range(n):
-        v = gamma[k].copy()
-        coeff = np.zeros(n)
-        coeff[k] = 1.0
-        for j in range(k):
-            r = float(np.dot(phi[j], v))
-            v -= r * phi[j]
-            coeff -= r * transform[j]
-        norm = float(np.linalg.norm(v))
-        if norm * norm < RANK_TOL * float(np.dot(gamma[k], gamma[k])):
-            raise RankDeficiencyError(
-                f"derivative row {k} lies in the span of the previous rows", index=k)
-        phi[k] = v / norm
-        transform[k] = coeff / norm
-    return replace(dbasis, phi=phi, transform=transform)
+            f"{det:.3e} < {RANK_TOL:.1e})")
+    if np.any(kept < RANK_TOL):
+        k = int(np.argmax(kept < RANK_TOL))
+        raise RankDeficiencyError(
+            f"derivative row {k} lies in the span of the previous rows", index=k)
+    signs = np.sign(np.diag(r))
+    r *= signs[:, None]
+    return replace(dbasis, phi=(q * signs).T, transform=np.linalg.inv(r).T)
 
 
 @dataclass(frozen=True)
 class MeasurementDesign:
-    """Coefficient matrix C_jk of the three projective elements over phi_0..phi_3.
-
-    ``sphere`` records the (r1, phi1, r2, phi2) parametrization when the
-    design was built from it.
-    """
+    """Coefficient matrix C_jk of the three projective elements over phi_0..phi_3."""
 
     C: np.ndarray
-    sphere: tuple | None = None
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.C, dtype=float))
@@ -248,7 +225,7 @@ def design_from_sphere(r1: float, phi1: float, r2: float, phi2: float, *,
         [0.0, r1 * math.cos(phi1), r2 * math.cos(phi2), 0.0],
         list(row2),
     ])
-    return MeasurementDesign(C=c, sphere=(r1, phi1, r2, phi2))
+    return MeasurementDesign(C=c)
 
 
 def efficiency_factor(design: MeasurementDesign) -> float:
@@ -309,7 +286,7 @@ def time_limited_design(design: MeasurementDesign, dbasis: DerivativeBasis,
     """
     phi, lam = _phi_and_lambdas(dbasis, basis)
     pi = design.C @ phi
-    return MeasurementDesign(C=(pi * lam) @ phi.T, sphere=None)
+    return MeasurementDesign(C=(pi * lam) @ phi.T)
 
 
 def efficiency_bounds(dbasis: DerivativeBasis, basis: ProlateBasis) -> tuple[float, float]:
@@ -328,8 +305,7 @@ def efficiency_bounds(dbasis: DerivativeBasis, basis: ProlateBasis) -> tuple[flo
 
 
 def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
-                    regime: str = "ideal", *, include_leakage: bool = True,
-                    tau_floor: float | None = None) -> FisherMatrix:
+                    regime: str = "ideal", *, tau_floor: float | None = None) -> FisherMatrix:
     """Fisher information of theta = (tau, tau0, nu) under the chosen regime.
 
     ``regime`` selects how outcome probabilities are computed: "ideal",
@@ -377,7 +353,6 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         m = replace(model, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
         probe = _probe(m, basis, modes=rows.get((m.tau, m.tau0)))
         rows[m.tau, m.tau0] = probe.modes
-        p = route(probe)
-        return p if include_leakage else p[:-1]
+        return route(probe)
 
     return fisher_matrix(prob_model, model.theta, labels=("tau", "tau0", "nu"))

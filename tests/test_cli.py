@@ -298,19 +298,49 @@ class TestDeterminismAndConfig:
         assert main(["superres", "--c", "2", "--tau", "0.2",
                      "--design", "1,2,3", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("source, grid", [("flag", "1:2"), ("file", [1, 2]),
-                                              ("file", [2, 1, 0.1])],
-                             ids=["flag-two-numbers", "file-two-numbers",
-                                  "file-descending"])
-    def test_malformed_t_grid_is_config_error(self, tmp_path, capsys, source, grid):
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("flag, text, key, value", [
+        ("--c", "nan", "c_values", [math.nan]), ("--c", "inf", "c_values", [math.inf]),
+        ("--T", "nan", "T", math.nan),
+        ("--tau", "nan", "tau_values", [math.nan]), ("--tau", "inf", "tau_values", [math.inf]),
+        ("--tau0", "nan", "tau0", math.nan), ("--tau0", "inf", "tau0", math.inf),
+        ("--sigma", "nan", "sigma", math.nan),
+        ("--design", "nan,1,0.7,0.2", "design", [math.nan, 1.0, 0.7, 0.2]),
+    ], ids=["c-nan", "c-inf", "T-nan", "tau-nan", "tau-inf", "tau0-nan", "tau0-inf",
+            "sigma-nan", "design-nan"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, source,
+                                                flag, text, key, value):
+        out = tmp_path / "never.csv"
+        argv = ["superres", "--out", str(out)]
+        argv += [] if key == "c_values" else ["--c", "5"]
+        argv += [] if key == "tau_values" else ["--tau", "0.3"]
+        if source == "flag":
+            argv += [f"{flag}={text}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))  # NaN and Infinity literals
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: {flag} must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, grid, message", [
+        ("flag", "1:2", "start:stop:step"), ("file", [1, 2], "start:stop:step"),
+        ("file", [2, 1, 0.1], "stop >= start"),
+        ("flag", "-3:3:nan", "non-finite step"), ("file", [-3, 3, math.nan], "non-finite step"),
+    ], ids=["flag-two-numbers", "file-two-numbers", "file-descending", "flag-nan-step",
+            "file-nan-step"])
+    def test_malformed_t_grid_is_config_error(self, tmp_path, capsys, source, grid, message):
         out = tmp_path / "hg.csv"
         argv = ["hg-compare", "--c", "5", "--out", str(out)]
         if source == "flag":
-            argv += ["--t-grid", grid]
+            argv += [f"--t-grid={grid}"]
         else:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"t_grid": grid}))
             argv += ["--config", str(cfg)]
         assert main(argv) == EXIT_CONFIG
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
         assert not out.exists()

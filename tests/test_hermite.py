@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from prolate import HermiteGaussMode, hermite_function, hermite_polynomial, hg_eval
+from prolate import HermiteGaussMode, hermite_function, hg_eval
 
 
 def test_polynomial_values():
+    # the Hermite polynomials H_0..H_3 inside the normalized recurrence
     x = np.array([-1.5, 0.0, 0.7])
-    assert np.allclose(hermite_polynomial(0, x), 1.0)
-    assert np.allclose(hermite_polynomial(1, x), 2 * x)
-    assert np.allclose(hermite_polynomial(2, x), 4 * x * x - 2.0)
-    assert np.allclose(hermite_polynomial(3, x), 8 * x ** 3 - 12 * x)
+    polys = (1.0 + 0 * x, 2 * x, 4 * x * x - 2.0, 8 * x ** 3 - 12 * x)
+    for n, h in enumerate(polys):
+        norm = math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
+        assert np.allclose(hermite_function(n, x), h * np.exp(-0.5 * x * x) / norm,
+                           rtol=1e-14, atol=1e-15)
 
 
 def test_hg_ground_mode_at_origin():
