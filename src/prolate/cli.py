@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,10 +34,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_DEFAULT_DESIGN = (0.7, math.pi / 3.0, 0.7, math.pi / 3.0 - 1.2)
-# third element mixes phi_0 and phi_1: needed so the centroid and the
-# intensity ratio stay identifiable at the symmetric point
-_DEFAULT_ROW2 = (0.55, 0.55, 0.0, 0.0)
 _MAX_GRID_POINTS = 10 ** 6  # a larger grid is refused before one value is made
 
 
@@ -45,37 +41,16 @@ class ConfigError(ValueError):
     """Bad or missing run configuration."""
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved, serializable description of one CLI run."""
-
-    command: str
-    c_values: tuple = ()
-    T: float = 1.0
-    n_max: int | None = None
-    quad_order: int | None = None
-    tau_values: tuple = ()
-    tau0: float = 0.0
-    nu: float = 0.5
-    sigma: float | None = None
-    design: tuple = _DEFAULT_DESIGN
-    design_row2: tuple = _DEFAULT_ROW2
-    regime: str = "limited"
-    t_grid: tuple = (-3.0, 3.0, 0.01)
-    out: str = "out.csv"
-    format: str = "csv"
-
-
 def grid_values(start: float, stop: float, step: float) -> tuple:
     for name, x in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(x):
-            raise ConfigError(f"grid {start}:{stop}:{step} has a non-finite {name}")
+            raise ConfigError(f"{start}:{stop}:{step} has a non-finite {name}")
     if step <= 0.0 or stop < start:
-        raise ConfigError(f"grid {start}:{stop}:{step} must have positive step "
+        raise ConfigError(f"{start}:{stop}:{step} must have positive step "
                           f"and stop >= start")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_GRID_POINTS:  # also refuses a span that overflows
-        raise ConfigError(f"grid {start}:{stop}:{step} holds more than {_MAX_GRID_POINTS} points")
+        raise ConfigError(f"{start}:{stop}:{step} holds more than {_MAX_GRID_POINTS} points")
     count = int(math.floor(span)) + 1
     return tuple(start + i * step for i in range(count))
 
@@ -85,8 +60,8 @@ def grid_triple(grid) -> tuple:
     parts = grid.split(":") if isinstance(grid, str) else grid
     try:
         start, stop, step = (float(x) for x in parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid must be start:stop:step, got {grid!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"must be start:stop:step, got {grid!r}") from exc
     grid_values(start, stop, step)
     return start, stop, step
 
@@ -95,14 +70,114 @@ def parse_grid(text: str) -> tuple:
     return grid_values(*grid_triple(text))
 
 
-def parse_floats(text: str, n: int, what: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ConfigError(f"{what} needs {n} comma-separated values, got {text!r}")
+# Field parsers.  Each takes a flag's text or the JSON value of the same key
+# in a config file, and raises a ConfigError whose message follows the flag.
+
+def _typed(convert, what: str, *json_types):
+    """``convert`` of flag text, or of a JSON value of one of ``json_types``."""
+    def parse(value):
+        try:
+            if type(value) in (str, *json_types):  # so a bool is no number
+                return convert(value)
+        except (ValueError, OverflowError):
+            pass
+        raise ConfigError(f"must be {what}, got {value!r}")
+    return parse
+
+
+def _where(parse, test, need: str):
+    """``parse``, then a check that its result passes ``test``."""
+    def checked(value):
+        x = parse(value)
+        if not test(x):
+            raise ConfigError(f"must be {need}, got {x!r}")
+        return x
+    return checked
+
+
+_text = _typed(str, "a string")
+_number = _where(_typed(float, "a number", int, float), math.isfinite, "finite")
+_positive = _where(_number, lambda x: x > 0.0, "positive")
+_fraction = _where(_number, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_count = _where(_typed(int, "an integer", int), lambda n: n >= 0, ">= 0")
+
+
+def _choice(*options):
+    return _where(_text, lambda x: x in options, "one of " + ", ".join(options))
+
+
+def _positives(values) -> tuple:
+    """The texts of a repeated flag, or a JSON list."""
+    if not isinstance(values, list):
+        raise ConfigError(f"must be a list of numbers, got {values!r}")
+    return tuple(_positive(x) for x in values)
+
+
+def _four_numbers(value) -> tuple:
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != 4:
+        raise ConfigError(f"needs 4 comma-separated numbers, got {value!r}")
+    return tuple(_number(x) for x in parts)
+
+
+_ALL = ("spectrum", "hg-compare", "lambda0", "superres")
+_SUPERRES = ("superres",)
+
+
+def _field(flag, commands, parse, default=None, help=None, metavar=None, repeat=False):
+    """A RunConfig field with its flag, the commands that take it and its parser.
+
+    A ``repeat`` flag may be given again, and FLAG-grid adds a START:STOP:STEP grid.
+    """
+    return field(default=default, metadata={
+        "flag": flag, "commands": commands, "parse": parse, "help": help,
+        "metavar": metavar or flag[2:].upper().replace("-", "_"), "repeat": repeat})
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved, serializable description of one CLI run.
+
+    The one list of config fields: the flags, the reading of a config file
+    and every check on a value are built from these declarations.
+    """
+
+    command: str
+    c_values: tuple = _field("--c", _ALL, _positives, (), repeat=True,
+                             help="Slepian frequency; repeat for several values")
+    T: float = _field("--T", _ALL, _positive, 1.0, help="window half-length")
+    n_max: int | None = _field("--n-max", _ALL, _count)
+    quad_order: int | None = _field("--quad-order", _ALL, _count)
+    tau_values: tuple = _field("--tau", _SUPERRES, _positives, (), repeat=True,
+                               help="pulse separation; repeat for several values")
+    tau0: float = _field("--tau0", _SUPERRES, _number, 0.0, help="centroid")
+    nu: float = _field("--nu", _SUPERRES, _fraction, 0.5, help="relative intensity")
+    sigma: float | None = _field("--sigma", _SUPERRES, _positive,
+                                 help="pulse width (default T / sqrt(c))")
+    design: tuple = _field("--design", _SUPERRES, _four_numbers,
+                           (0.7, math.pi / 3.0, 0.7, math.pi / 3.0 - 1.2),
+                           metavar="R1,PHI1,R2,PHI2")
+    # the third element mixes phi_0 and phi_1, so that the centroid and the
+    # intensity ratio stay identifiable at the symmetric point
+    design_row2: tuple = _field("--design-row2", _SUPERRES, _four_numbers,
+                                (0.55, 0.55, 0.0, 0.0), metavar="C20,C21,C22,C23")
+    regime: str = _field("--regime", _SUPERRES, _choice("ideal", "limited", "truncated"),
+                         "limited", metavar="{ideal,limited,truncated}")
+    t_grid: tuple = _field("--t-grid", ("hg-compare",), grid_triple, (-3.0, 3.0, 0.01),
+                           metavar="START:STOP:STEP")
+    out: str | None = _field("--out", _ALL, _text, help="data file (default COMMAND.FORMAT)")
+    format: str = _field("--format", _ALL, _choice("csv", "json"), "csv", metavar="{csv,json}")
+
+
+def _fields_of(command: str) -> list:
+    return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
+
+
+def _checked(flag: str, parse, value):
     try:
-        return tuple(float(x) for x in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be numeric, got {text!r}") from exc
+        return parse(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag} {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,137 +186,59 @@ def build_parser() -> argparse.ArgumentParser:
         description="Concentration spectra, mode comparisons and "
                     "band/time-limited superresolution sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--c", action="append", type=float, default=None,
-                       help="Slepian frequency; repeat for several values")
-        p.add_argument("--c-grid", default=None, metavar="START:STOP:STEP")
-        p.add_argument("--T", type=float, default=None, help="window half-length")
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--quad-order", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON config file or a previously emitted manifest; "
-                            "flags override file values")
-
-    p = sub.add_parser("spectrum", help="eigenvalue table (c, n, lambda_n)")
-    common(p)
-
-    p = sub.add_parser("hg-compare",
-                       help="second prolate mode against the second Hermite-Gauss mode")
-    common(p)
-    p.add_argument("--t-grid", default=None, metavar="START:STOP:STEP")
-
-    p = sub.add_parser("lambda0", help="largest eigenvalue as a function of c")
-    common(p)
-
-    p = sub.add_parser("superres", help="efficiency factors, bounds, Fisher/CRB sweep")
-    common(p)
-    p.add_argument("--tau", action="append", type=float, default=None,
-                   help="pulse separation; repeat for several values")
-    p.add_argument("--tau-grid", default=None, metavar="START:STOP:STEP")
-    p.add_argument("--tau0", type=float, default=None, help="centroid")
-    p.add_argument("--nu", type=float, default=None, help="relative intensity")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="pulse width (default ties it to the bandwidth)")
-    p.add_argument("--design", default=None, metavar="R1,PHI1,R2,PHI2")
-    p.add_argument("--design-row2", default=None, metavar="C20,C21,C22,C23")
-    p.add_argument("--regime", choices=("ideal", "limited", "truncated"), default=None)
+    for command, (_, _, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for f in _fields_of(command):
+            meta = f.metadata
+            p.add_argument(meta["flag"], dest=f.name, help=meta["help"],
+                           metavar=meta["metavar"],
+                           action="append" if meta["repeat"] else "store")
+            if meta["repeat"]:
+                p.add_argument(meta["flag"] + "-grid", dest=f.name + "_grid",
+                               metavar="START:STOP:STEP")
+        p.add_argument("--config", help="JSON config file or a previously emitted manifest; "
+                                        "flags override file values")
     return parser
 
 
-_COMMON_KEYS = ("T", "n_max", "quad_order", "out", "format")
-_SUPERRES_KEYS = ("tau0", "nu", "sigma", "regime")
-_FLAGS = {"c_values": "--c", "tau_values": "--tau"}  # other fields are named as their flag
+def _read_config(path) -> dict:
+    doc = pio.load_json(path)
+    if isinstance(doc, dict):
+        doc = doc.get("config", doc)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"--config {path!r} is not a key-value document")
+    unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigError(f"--config {path!r} has unknown keys {', '.join(map(repr, unknown))}")
+    return doc
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict = {}
-    if args.config:
-        doc = pio.load_json(args.config)
-        file_cfg = doc.get("config", doc)
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {args.config!r} is not a key-value document")
+    """Flags first, then the config file, then the field's default.
 
-    cfg = RunConfig(command=args.command)
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg and file_cfg[key] is not None:
-            return file_cfg[key]
-        return fallback
-
-    c_values = list(args.c or [])
-    if args.c_grid:
-        c_values.extend(parse_grid(args.c_grid))
-    if not c_values:
-        c_values = [float(x) for x in file_cfg.get("c_values", [])]
-    if not c_values:
-        c_values = {
-            "spectrum": [2.5 * math.pi, 5.0 * math.pi, 10.0 * math.pi],
-            "hg-compare": [1.0, 5.0, 10.0, 20.0],
-            "lambda0": list(parse_grid("0.1:10:0.1")),
-            "superres": [],
-        }[args.command]
-    if not c_values:
+    A null file value counts as not given.  ``command``, and the fields of
+    other commands, are ignored in a file, so that every manifest replays.
+    """
+    file_cfg = _read_config(args.config) if args.config else {}
+    values = {}
+    for f in _fields_of(args.command):
+        flag = f.metadata["flag"]
+        given = getattr(args, f.name)
+        if f.metadata["repeat"] and getattr(args, f.name + "_grid") is not None:
+            grid = _checked(flag + "-grid", parse_grid, getattr(args, f.name + "_grid"))
+            given = [*(given or ()), *grid]
+        if given is None:
+            given = file_cfg.get(f.name)
+        if given is not None:
+            values[f.name] = _checked(flag, f.metadata["parse"], given)
+    cfg = RunConfig(command=args.command, **values)
+    cfg.c_values = cfg.c_values or _COMMANDS[cfg.command][1]
+    if not cfg.c_values:
         raise ConfigError("no c values given (use --c or --c-grid)")
-    if any(c <= 0.0 for c in c_values):
-        raise ConfigError("all c values must be positive")
-    cfg.c_values = tuple(float(c) for c in c_values)
-
-    for key in _COMMON_KEYS:
-        setattr(cfg, key, pick(getattr(args, key), key, getattr(cfg, key)))
-    cfg.T = float(cfg.T)
-    if cfg.T <= 0.0:
-        raise ConfigError("T must be positive")
-    if cfg.n_max is not None:
-        cfg.n_max = int(cfg.n_max)
-        if cfg.n_max < 0:
-            raise ConfigError("n_max must be >= 0")
-    if cfg.quad_order is not None:
-        cfg.quad_order = int(cfg.quad_order)
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.out == "out.csv":
-        cfg.out = f"{args.command.replace('-', '_')}.{cfg.format}"
-
-    if args.command == "hg-compare":
-        grid = args.t_grid or file_cfg.get("t_grid")
-        if grid is not None:
-            cfg.t_grid = grid_triple(grid)
-
-    if args.command == "superres":
-        for key in _SUPERRES_KEYS:
-            setattr(cfg, key, pick(getattr(args, key), key, getattr(cfg, key)))
-        cfg.tau0 = float(cfg.tau0)
-        cfg.nu = float(cfg.nu)
-        if not (0.0 <= cfg.nu <= 1.0):
-            raise ConfigError("nu must lie in [0, 1]")
-        if cfg.sigma is not None:
-            cfg.sigma = float(cfg.sigma)
-            if cfg.sigma <= 0.0:
-                raise ConfigError("sigma must be positive")
-        design = pick(parse_floats(args.design, 4, "--design") if args.design else None,
-                      "design", cfg.design)
-        row2 = pick(parse_floats(args.design_row2, 4, "--design-row2")
-                    if args.design_row2 else None, "design_row2", cfg.design_row2)
-        cfg.design = tuple(float(x) for x in design)
-        cfg.design_row2 = tuple(float(x) for x in row2)
-        tau_values = list(args.tau or [])
-        if args.tau_grid:
-            tau_values.extend(parse_grid(args.tau_grid))
-        if not tau_values:
-            tau_values = [float(x) for x in file_cfg.get("tau_values", [])]
-        cfg.tau_values = tuple(float(t) for t in tau_values)
-        if any(t <= 0.0 for t in cfg.tau_values):
-            raise ConfigError("all tau values must be positive")
-    for key, value in asdict(cfg).items():
-        numbers = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
-            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
-            raise ConfigError(f"{flag} must be finite, got {value!r}")
+    if cfg.command == "hg-compare" and cfg.n_max is not None and cfg.n_max < 2:
+        raise ConfigError(f"--n-max must be >= 2 for hg-compare's mode 2, got {cfg.n_max}")
+    if cfg.out is None:
+        cfg.out = f"{cfg.command.replace('-', '_')}.{cfg.format}"
     return cfg
 
 
@@ -270,7 +267,7 @@ def run_hg_compare(cfg: RunConfig):
         n_max = cfg.n_max if cfg.n_max is not None else max(4, plunge_index(c) + 2)
         basis = _basis_for(cfg, c, n_max)
         psi2 = eval_psi(basis, 2, t)
-        hg2 = hg_eval(HermiteGaussMode(2, c), t)
+        hg2 = hg_eval(HermiteGaussMode(2, c), t / cfg.T) / math.sqrt(cfg.T)
         sup = float(np.max(np.abs(psi2 - hg2)))
         rows.extend((c, float(tv), float(pv), float(hv), sup)
                     for tv, pv, hv in zip(t, psi2, hg2))
@@ -283,22 +280,18 @@ def run_lambda0(cfg: RunConfig):
 
 
 def run_superres(cfg: RunConfig):
-    r1, phi1, r2, phi2 = cfg.design
-    design = design_from_sphere(r1, phi1, r2, phi2, row2=cfg.design_row2)
+    design = design_from_sphere(*cfg.design, row2=cfg.design_row2)
     rows = []
     for c in cfg.c_values:
         basis = _basis_for(cfg, c, cfg.n_max)
-        sigma = cfg.sigma if cfg.sigma is not None else default_psf_sigma(c)
+        sigma = cfg.sigma if cfg.sigma is not None else cfg.T * default_psf_sigma(c)
         taus = cfg.tau_values or (sigma,)
         model0 = TwoPulseModel(GaussianPsf(sigma), tau=taus[0], tau0=cfg.tau0, nu=cfg.nu)
         dbasis = gram_schmidt(gamma_modes(model0, basis))
         povm = optimal_povm(design, dbasis)
         tl_design = time_limited_design(design, dbasis, basis)
         bound_phi2, bound_lambda0 = efficiency_bounds(dbasis, basis)
-        if cfg.regime == "limited":
-            a_value = efficiency_factor(tl_design)
-        else:
-            a_value = efficiency_factor(design)
+        a_value = efficiency_factor(tl_design if cfg.regime == "limited" else design)
         for tau in taus:
             model = TwoPulseModel(GaussianPsf(sigma), tau=tau, tau0=cfg.tau0, nu=cfg.nu)
             fisher = superres_fisher(model, povm, basis, cfg.regime)
@@ -315,11 +308,14 @@ def run_superres(cfg: RunConfig):
     return header, rows
 
 
-_RUNNERS = {
-    "spectrum": run_spectrum,
-    "hg-compare": run_hg_compare,
-    "lambda0": run_lambda0,
-    "superres": run_superres,
+_COMMANDS = {  # runner, default c values, help
+    "spectrum": (run_spectrum, (2.5 * math.pi, 5.0 * math.pi, 10.0 * math.pi),
+                 "eigenvalue table (c, n, lambda_n)"),
+    "hg-compare": (run_hg_compare, (1.0, 5.0, 10.0, 20.0),
+                   "second prolate mode against the second Hermite-Gauss mode"),
+    "lambda0": (run_lambda0, grid_values(0.1, 10.0, 0.1),
+                "largest eigenvalue as a function of c"),
+    "superres": (run_superres, (), "efficiency factors, bounds, Fisher/CRB sweep"),
 }
 
 
@@ -349,18 +345,17 @@ def write_output(cfg: RunConfig, header, rows) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         cfg = resolve_config(args)
-    except (ConfigError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError, or an unreadable config file
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        header, rows = _RUNNERS[cfg.command](cfg)
+        header, rows = _COMMANDS[cfg.command][0](cfg)
     except (ProlateError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

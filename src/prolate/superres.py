@@ -157,7 +157,7 @@ def gram_schmidt(dbasis: DerivativeBasis) -> DerivativeBasis:
     gamma^T = Q R with diag(R) > 0, so phi = Q^T has orthonormal rows, row k
     mixes gamma rows 0..k only, and transform = (R^-1)^T is lower triangular
     with a positive diagonal.  Dependent rows raise RankDeficiencyError; a
-    zero row is named by its index.
+    zero row, or a row in the span of the previous ones, is named by its index.
     """
     gamma = dbasis.gamma
     n, m = gamma.shape
@@ -169,17 +169,18 @@ def gram_schmidt(dbasis: DerivativeBasis) -> DerivativeBasis:
     if np.any(norms <= 0.0):
         raise RankDeficiencyError("zero derivative row", index=int(np.argmin(norms)))
     # share of |gamma_k|^2 outside the span of rows 0..k-1; their product is
-    # the determinant of the normalized Gram matrix
+    # the determinant of the normalized Gram matrix.  Each share is at most 1,
+    # so the row test comes first: otherwise the product always fails first.
     kept = (np.diag(r) / norms) ** 2
+    if np.any(kept < RANK_TOL):
+        k = int(np.argmax(kept < RANK_TOL))
+        raise RankDeficiencyError(
+            f"derivative row {k} lies in the span of the previous rows", index=k)
     det = float(np.prod(kept))
     if det < RANK_TOL:
         raise RankDeficiencyError(
             f"derivative rows nearly dependent (normalized Gram determinant "
             f"{det:.3e} < {RANK_TOL:.1e})")
-    if np.any(kept < RANK_TOL):
-        k = int(np.argmax(kept < RANK_TOL))
-        raise RankDeficiencyError(
-            f"derivative row {k} lies in the span of the previous rows", index=k)
     signs = np.sign(np.diag(r))
     r *= signs[:, None]
     return replace(dbasis, phi=(q * signs).T, transform=np.linalg.inv(r).T)

@@ -256,19 +256,6 @@ class TestDeterminismAndConfig:
         b = out2.read_text().replace(str(out2), "OUT")
         assert a == b
 
-    def test_manifest_rerun_reproduces_bytes(self, tmp_path, monkeypatch):
-        first = tmp_path / "first"
-        second = tmp_path / "second"
-        first.mkdir()
-        second.mkdir()
-        monkeypatch.chdir(first)
-        assert main(["superres", "--c", "4", "--tau", "0.4", "--out", "sr.csv"]) == EXIT_OK
-        manifest = first / "sr.csv.manifest.json"
-        assert manifest.exists()
-        monkeypatch.chdir(second)
-        assert main(["superres", "--config", str(manifest)]) == EXIT_OK
-        assert (second / "sr.csv").read_bytes() == (first / "sr.csv").read_bytes()
-
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"c_values": [2.0], "nu": 0.3, "tau_values": [0.5]}))
@@ -344,3 +331,100 @@ class TestDeterminismAndConfig:
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["superres"], {"c_values": 5}, "--c must be a list of numbers, got 5"),
+        (["superres"], {"c_values": [5], "tau_values": 0.3}, "--tau must be a list of numbers"),
+        (["superres"], [1, 2], "is not a key-value document"),
+        (["superres", "--c", "5", "--tau", "0.3"], {"quad_order": 1e400},
+         "--quad-order must be an integer, got inf"),
+        (["superres", "--c", "5", "--tau", "0.3"], {"design": [1, 2]}, "--design needs 4"),
+        (["superres", "--c", "5", "--tau", "0.3"], {"n_max": 2.7},
+         "--n-max must be an integer, got 2.7"),
+        (["superres", "--c", "5", "--tau", "0.3"], {"regime": "bogus"},
+         "--regime must be one of ideal, limited, truncated, got 'bogus'"),
+        (["lambda0", "--c", "2"], {"out": 1}, "--out must be a string, got 1"),
+        (["lambda0"], {"c": [2]}, "has unknown keys 'c'"),
+        (["hg-compare", "--c", "5", "--n-max", "1"], None, "--n-max must be >= 2"),
+    ], ids=["c-values-number", "tau-values-number", "not-an-object", "quad-order-overflow",
+            "design-two-numbers", "n-max-fraction", "regime-unknown", "out-number",
+            "unknown-key", "hg-compare-n-max-1"])
+    def test_config_file_checked_like_flags(self, tmp_path, monkeypatch, capsys,
+                                            argv, doc, message):
+        monkeypatch.chdir(tmp_path)
+        if doc is not None:
+            Path("cfg.json").write_text(json.dumps(doc))
+            argv = argv + ["--config", "cfg.json"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ") and message in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ([] if doc is None else ["cfg.json"])
+
+    def test_design_text_in_file_same_as_flag(self, tmp_path, monkeypatch):
+        # the default third row is not a valid measurement with this design
+        argv = ["superres", "--c", "5", "--tau", "0.3", "--design-row2", "0.3,0.3,0,0",
+                "--out", "sr.csv"]
+        for name in ("flag", "file"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "flag")
+        assert main(argv + ["--design", "0.7,1,0.7,0.2"]) == EXIT_OK
+        monkeypatch.chdir(tmp_path / "file")
+        Path("cfg.json").write_text(json.dumps({"design": "0.7,1,0.7,0.2"}))
+        assert main(argv + ["--config", "cfg.json"]) == EXIT_OK
+        assert Path("sr.csv").read_bytes() == (tmp_path / "flag" / "sr.csv").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--c", "5"], ["hg-compare", "--c", "5", "--t-grid=-1:1:0.25"],
+        ["lambda0", "--c-grid", "1:3:1"], ["superres", "--c", "4", "--tau", "0.4"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_rerun_reproduces_bytes(self, tmp_path, monkeypatch, argv, fmt):
+        def outputs():
+            data = Path(f"data.{fmt}").read_bytes()
+            manifest = json.loads(Path(f"data.{fmt}.manifest.json").read_text())
+            del manifest["created_utc"]
+            return data, manifest
+
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "first")
+        assert main(argv + ["--format", fmt, "--out", f"data.{fmt}"]) == EXIT_OK
+        first = outputs()
+        monkeypatch.chdir(tmp_path / "second")
+        manifest = tmp_path / "first" / f"data.{fmt}.manifest.json"
+        assert main([argv[0], "--config", str(manifest)]) == EXIT_OK
+        assert outputs() == first
+
+
+class TestWindowLength:
+    """With every time scaled by T, the CLI's outputs follow c alone."""
+
+    @pytest.mark.parametrize("T", [0.5, 2.0])
+    def test_hg_compare_distance_scales_with_window(self, tmp_path, T):
+        # the same points in t / T on both grids
+        sup = {}
+        for t_scale in (1.0, T):
+            out = tmp_path / f"hg{t_scale}.csv"
+            grid = f"{-3 * t_scale}:{3 * t_scale}:{0.05 * t_scale}"
+            assert main(["hg-compare", "--c", "10", "--T", str(t_scale),
+                         f"--t-grid={grid}", "--out", str(out)]) == EXIT_OK
+            _, rows = read_rows(out)
+            assert len(rows) == 121
+            sup[t_scale] = float(rows[0][4])
+        assert sup[1.0] == pytest.approx(0.0920, abs=1e-4)
+        assert sup[T] == pytest.approx(sup[1.0] / math.sqrt(T), rel=1e-9)
+
+    def test_default_sigma_scales_with_window(self, tmp_path):
+        rows = {}
+        for T, tau in ((1.0, 0.15), (2.0, 0.3)):
+            out = tmp_path / f"sr{T}.csv"
+            assert main(["superres", "--c", "5", "--T", str(T), "--tau", str(tau),
+                         "--out", str(out)]) == EXIT_OK
+            header, (row,) = read_rows(out)
+            rows[T] = dict(zip(header, row))
+        one, two = rows[1.0], rows[2.0]
+        scale = {"A": 1.0, "bound_phi2": 1.0, "bound_lambda0": 1.0, "F_tautau": 0.25,
+                 "crb_tau": 2.0, "crb_tau0": 2.0, "crb_nu": 1.0}
+        for key, factor in scale.items():
+            assert float(two[key]) == pytest.approx(factor * float(one[key]), rel=1e-7), key

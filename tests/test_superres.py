@@ -216,30 +216,22 @@ class TestGammaModes:
         b = basis_cache(c)
         sigma = default_psf_sigma(c)
         want = oracles.transform_rows(b, oracles.gaussian_transform(sigma), tau0=0.1)
-        for psf in (GaussianPsf(sigma), PlainGaussian(sigma)):
-            got = gamma_modes(TwoPulseModel(psf, tau=0.3, tau0=0.1), b).gamma
-            assert np.max(row_errors(want, got)) <= 1e-10, (c, type(psf).__name__)
+        got = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3, tau0=0.1), b).gamma
+        assert np.max(row_errors(want, got)) <= 1e-10, c
 
     def test_former_step_size_failures_run_through(self, basis_cache):
-        # a fixed finite-difference step of T/50 could not resolve these widths
+        # a fixed finite-difference step of T/50 could not resolve these widths;
+        # GaussianPsf's sigma sets the default tau_floor, the sech pulse passes one
         design = sample_design()
-        gauss = basis_cache(10.0)
-        sigma = default_psf_sigma(10.0)
-        fishers = []
-        for psf in (GaussianPsf(sigma), PlainGaussian(sigma)):
+        for c, psf, floor in ((10.0, GaussianPsf(default_psf_sigma(10.0)), None),
+                              (6.0, plain(SechPsf(default_psf_sigma(6.0))),
+                               1e-4 * default_psf_sigma(6.0))):
+            b = basis_cache(c)
             model = TwoPulseModel(psf, tau=0.2)
-            povm = optimal_povm(design, gram_schmidt(gamma_modes(model, gauss)))
-            fishers.append(superres_fisher(model, povm, gauss, "limited").matrix)
-        ref, got = fishers
-        assert np.max(np.abs(got - ref)) < 1e-7 * np.max(np.abs(ref))
-
-        b6 = basis_cache(6.0)
-        width = default_psf_sigma(6.0)
-        model = TwoPulseModel(plain(SechPsf(width)), tau=0.2)
-        povm = optimal_povm(design, gram_schmidt(gamma_modes(model, b6)))
-        fm = superres_fisher(model, povm, b6, "limited", tau_floor=1e-4 * width)
-        assert np.all(np.isfinite(fm.matrix))
-        assert np.all(np.diag(fm.matrix) > 0.0)
+            povm = optimal_povm(design, gram_schmidt(gamma_modes(model, b)))
+            fm = superres_fisher(model, povm, b, "limited", tau_floor=floor)
+            assert np.all(np.isfinite(fm.matrix)), c
+            assert np.all(np.diag(fm.matrix) > 0.0), c
 
 
 class TestGramSchmidt:
@@ -262,15 +254,14 @@ class TestGramSchmidt:
         def orthonormalize(gamma):
             return gram_schmidt(DerivativeBasis(params=b5.params, gamma=gamma))
 
-        # a repeated row fails the normalized Gram determinant, which names no
-        # row; a zero row is named
+        # a repeated row, and a zero row, are named by their index
         for k in (1, 2, 3):
             for j in range(k):
                 gamma = dbasis5.gamma.copy()
                 gamma[k] = gamma[j]
-                with pytest.raises(RankDeficiencyError, match="Gram determinant") as err:
+                with pytest.raises(RankDeficiencyError, match=f"row {k} lies in the span") as err:
                     orthonormalize(gamma)
-                assert err.value.index is None
+                assert err.value.index == k
             gamma = dbasis5.gamma.copy()
             gamma[k] = 0.0
             with pytest.raises(RankDeficiencyError, match="zero derivative row") as err:
@@ -278,6 +269,14 @@ class TestGramSchmidt:
             assert err.value.index == k
         with pytest.raises(RankDeficiencyError, match="4 derivative rows .* 3 coefficient"):
             orthonormalize(dbasis5.gamma[:, :3])
+        # rows 1 and 2 each keep 1e-8 of their norm outside the previous rows:
+        # each passes the row test, their product fails the determinant
+        gamma = dbasis5.gamma.copy()
+        size = 1e-4 * np.linalg.norm(gamma[0])
+        gamma[1], gamma[2] = gamma[0] + size * dbasis5.phi[1], gamma[0] + size * dbasis5.phi[2]
+        with pytest.raises(RankDeficiencyError, match="Gram determinant") as err:
+            orthonormalize(gamma)
+        assert err.value.index is None
 
     @pytest.mark.parametrize("c", [1.2, 2.5, 5.0, 20.0, 45.0])
     def test_matches_modified_gram_schmidt(self, basis_cache, c):
