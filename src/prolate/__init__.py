@@ -1,6 +1,6 @@
 """Prolate spheroidal wave functions and metrology under band/time limits.
 
-The package solves the sinc-kernel concentration problem on a finite window,
+The package solves the time-frequency concentration problem on a finite window,
 expands bandlimited signals over the resulting modes, propagates band and
 measurement-time limits into outcome probabilities and Fisher information,
 and quantifies how those limits cap the efficiency of the two-pulse
@@ -9,8 +9,7 @@ superresolution measurement.
 
 from .bandlimited import BandlimitedFunction, band_energy_fraction, project, synthesize
 from .basis import (LAMBDA_FLOOR, ProlateBasis, build_basis, default_quad_order,
-                    eval_psi, extension_matrix, lambda0_curve, plunge_index,
-                    sinc_kernel, sinc_kernel_dt)
+                    eval_psi, extension_matrix, lambda0_curve, plunge_index)
 from .errors import (EigensolverError, IdentifiabilityError,
                      PovmValidityError, ProlateError, QuadratureError,
                      RankDeficiencyError, SingularFisherError)
@@ -31,7 +30,6 @@ __all__ = [
     "BandlimitedFunction", "band_energy_fraction", "project", "synthesize",
     "LAMBDA_FLOOR", "ProlateBasis", "build_basis", "default_quad_order",
     "eval_psi", "extension_matrix", "lambda0_curve", "plunge_index",
-    "sinc_kernel", "sinc_kernel_dt",
     "EigensolverError", "IdentifiabilityError",
     "PovmValidityError", "ProlateError", "QuadratureError",
     "RankDeficiencyError", "SingularFisherError",

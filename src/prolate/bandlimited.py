@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProlateBasis, extension_matrix
+from .basis import ProlateBasis, _transforms, extension_matrix
 from .errors import QuadratureError
 from .params import SlepianParams
 from .quadrature import gauss_legendre, real_line_rule
@@ -37,14 +37,6 @@ def _require_same_params(a: SlepianParams, b: SlepianParams) -> None:
         raise ValueError(f"basis parameter mismatch: {a} vs {b}")
 
 
-def _require_all_extendable(basis: ProlateBasis) -> None:
-    if not np.all(basis.extendable):
-        bad = np.nonzero(~basis.extendable)[0]
-        raise ValueError(
-            f"basis holds modes below the extension floor (n = {bad.tolist()}); "
-            f"rebuild with automatic n_max or a smaller index range")
-
-
 def project(f, basis: ProlateBasis, *, bandlimited: bool = False) -> BandlimitedFunction:
     """Project a function of time onto the prolate basis.
 
@@ -70,9 +62,14 @@ def project(f, basis: ProlateBasis, *, bandlimited: bool = False) -> Bandlimited
         If the energy tail of a generic ``f`` is still above tolerance at the
         radius cap of ``quadrature.RADIUS_CAP`` windows; the achieved tolerance is
         reported.
+    ValueError
+        With ``bandlimited=True``, if a mode's eigenvalue is below ``LAMBDA_FLOOR``.
     """
     if bandlimited:
-        _require_all_extendable(basis)
+        low = np.flatnonzero(~basis.extendable)
+        if low.size:
+            raise ValueError(f"basis holds modes below LAMBDA_FLOOR (n = {low.tolist()}); "
+                             f"rebuild with automatic n_max or a smaller index range")
         fvals = np.asarray(f(basis.nodes), dtype=float)
         coeffs = (basis.samples * basis.weights) @ fvals / basis.lambdas
         return BandlimitedFunction(params=basis.params, coeffs=coeffs)
@@ -89,7 +86,6 @@ def _pulse_rows(f, basis: ProlateBasis, shifts, n_derivs: int, hint: str = ""):
     band, with F the transform of the samples.  ``hint`` ends the message of
     the QuadratureError raised when the rule does not converge.
     """
-    _require_all_extendable(basis)
     T = basis.params.T
     rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T)
     if not rule.converged:
@@ -115,16 +111,15 @@ def _pulse_rows(f, basis: ProlateBasis, shifts, n_derivs: int, hint: str = ""):
 def _band_blocks(basis: ProlateBasis, order: int):
     """Band nodes w_q, B[n, q] = conj(Psi_n(w_q)) v_q / (2 pi), R[q, k] = exp(-i w_q s_k).
 
-    Psi_n(w) = sum_j a_jn exp(-i w z_j), v_q are the weights of an n_w =
-    max(64, ceil(3c) + 48) point rule on the band and s_k the nodes of a panel
-    [0, T].  Built once per basis and panel order, read-only, published whole.
+    v_q are the weights of an n_w = max(64, ceil(3c) + 48) point rule on the
+    band and s_k the nodes of a panel [0, T].  Built once per basis and panel
+    order, read-only, published whole.
     """
     blocks = basis._band_blocks.get(order)
     if blocks is None:
         p = basis.params
         freqs, v = gauss_legendre(max(64, math.ceil(3.0 * p.c) + 48), -p.omega, p.omega)
-        core = (basis.weights * basis.samples) / basis.lambdas[:, None]
-        band = (core @ np.exp(1j * np.outer(basis.nodes, freqs))) * (v / (2.0 * math.pi))
+        band = np.conj(_transforms(basis, freqs)) * (v / (2.0 * math.pi))
         ref = np.exp(-1j * np.outer(freqs, gauss_legendre(order, 0.0, p.T)[0]))
         for a in (freqs, band, ref):
             a.flags.writeable = False
@@ -165,15 +160,9 @@ def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None) 
         if basis is None:
             raise ValueError("basis is required to evaluate a BandlimitedFunction")
         _require_same_params(f.params, basis.params)
-        for n in range(f.coeffs.size):
-            basis.require_extendable(n)
-        omega0 = basis.params.omega
-        beta = f.coeffs @ ((basis.weights * basis.samples[: f.coeffs.size])
-                           / basis.lambdas[: f.coeffs.size, None])
-        band = min(omega, omega0)
-        nw = max(96, math.ceil(3.0 * basis.params.c) + 32)
-        x, w = gauss_legendre(nw, -band, band)
-        transform = np.exp(-1j * np.outer(x, basis.nodes)) @ beta
+        band = min(omega, basis.params.omega)
+        x, w = gauss_legendre(max(96, math.ceil(3.0 * basis.params.c) + 32), -band, band)
+        transform = f.coeffs @ _transforms(basis, x, np.arange(f.coeffs.size))
         e_in = float(np.dot(w, np.abs(transform) ** 2)) / (2.0 * math.pi)
         e_tot = f.energy()
         if e_tot <= 0.0:

@@ -1,10 +1,14 @@
-"""Prolate spheroidal wave functions from the sinc-kernel integral equation.
+"""Prolate spheroidal wave functions from the prolate differential operator.
 
-The band-limiting kernel K(t, z) = sin(omega (t - z)) / (pi (t - z)) restricted
-to [-T, T] is discretized on a Gauss-Legendre grid (Nystrom method).  The
-eigenvalues of the symmetrized kernel matrix are the concentration ratios
-lambda_n; the scaled eigenvectors sample the eigenfunctions psi_n on the grid,
-and the Nystrom formula extends them to the whole real line.
+Inside the window, psi_n(t) = sqrt(lambda_n / T) phi_n(t / T), with phi_n of
+unit norm on [-1, 1].  Over the normalized Legendre polynomials
+sqrt(k + 1/2) P_k the prolate operator is two symmetric tridiagonal matrices,
+one per parity, whose eigenvectors are the coefficients beta_n of phi_n
+(Osipov, Rokhlin & Xiao, 2013); their eigenvalues stay well separated where
+the lambda_n cluster at 1.  lambda_n = c |mu_n|^2 / (2 pi), with mu_n the
+eigenvalue of the finite Fourier transform of phi_n.  Off the window, psi_n
+is the band integral of its transform Psi_n(w) = (-i)^n sqrt(2 pi / Omega)
+phi_n(w / Omega), |w| <= Omega = c / T, so nothing divides by lambda_n.
 
 Normalization: psi_n carries unit energy on the real line, so its energy
 inside the window equals lambda_n.  Signs follow the Hermite-compatible
@@ -24,52 +28,11 @@ from .errors import EigensolverError
 from .params import SlepianParams
 from .quadrature import gauss_legendre
 
-#: Below this eigenvalue the Nystrom extension (which divides by lambda_n)
-#: is no longer trusted in double precision.
+#: The automatic n_max keeps the modes at or above this eigenvalue, and
+#: ``project(bandlimited=True)``, which divides by lambda_n, refuses modes below.
 LAMBDA_FLOOR = 1e-13
 
-_ZERO_FLOOR = 5e-15       # eigenvalues below are indistinguishable from zero
-_SATURATION = 1e-10       # 1 - lambda below this: clustered at unity
-_TAIL_CLUSTER = 1e-11     # eigenvalue pairs this small sit in the noise tail
-_DEGENERACY_GAP = 1e-12
-
-
-def sinc_kernel(t, z, omega: float):
-    """Band-limiting kernel sin(omega (t - z)) / (pi (t - z)).
-
-    Defined for all real (t, z); the diagonal t = z takes the limit omega/pi.
-    """
-    if not (omega > 0.0):
-        raise ValueError("omega must be positive")
-    # the operations of (omega/pi) * np.sinc((omega/pi) * x) in the same order,
-    # done in place: two arrays of the output's size plus a mask, not six
-    u = np.asarray(np.subtract(t, z, dtype=float))
-    u *= omega / np.pi
-    u *= np.pi
-    u[u == 0.0] = np.finfo(float).eps  # sin(eps)/eps == 1 exactly
-    k = np.sin(u)
-    k /= u
-    k *= omega / np.pi
-    return k[()]
-
-
-def sinc_kernel_dt(t, z, omega: float):
-    """Derivative of the kernel with respect to its first argument.
-
-    (omega^2/pi) s'(omega (t - z)) for s(u) = sin(u)/u: (cos u - s(u)) / u for
-    |u| > 1, and -int_0^1 x sin(u x) dx on a fixed 12-point rule closer to 0.
-    """
-    if not (omega > 0.0):
-        raise ValueError("omega must be positive")
-    u = omega * np.asarray(np.subtract(t, z, dtype=float))
-    small = np.abs(u) <= 1.0
-    u_big = np.where(small, 1.0, u)
-    x, w = gauss_legendre(12, 0.0, 1.0)
-    out = np.empty(u.shape)
-    out[...] = (np.cos(u_big) - np.sin(u_big) / u_big) / u_big
-    out[small] = -((np.sin(np.multiply.outer(u[small], x)) * x) @ w)
-    out *= omega ** 2 / np.pi
-    return out[()]
+_PHASES = np.array([1.0, -1j, -1.0, 1j])  # (-i)^n for n mod 4
 
 
 def plunge_index(c: float) -> int:
@@ -81,7 +44,7 @@ def plunge_index(c: float) -> int:
 
 
 def default_quad_order(c: float, n_max: int) -> int:
-    """Minimum Gauss-Legendre order resolving the kernel and n_max modes."""
+    """Minimum Gauss-Legendre order of the window rule for c and n_max modes."""
     return max(4 * n_max, math.ceil(4.0 * c), 64)
 
 
@@ -97,9 +60,11 @@ class ProlateBasis:
 
     Attributes
     ----------
-    nodes, weights : Gauss-Legendre rule of order ``quad_order`` on [-T, T].
-    lambdas : concentration eigenvalues, descending, clipped to [0, 1).
-    samples : psi_n at the nodes, one row per mode, sign-fixed.
+    nodes, weights : Gauss-Legendre rule of order ``quad_order`` on [-T, T],
+        the window rule of ``samples`` and ``project(bandlimited=True)``.
+    lambdas : concentration eigenvalues, non-increasing, in [0, 1).
+    samples : psi_n at the nodes, one row per mode.  Values anywhere else
+        come from the modes' Legendre coefficients, which the basis keeps.
     """
 
     params: SlepianParams
@@ -109,6 +74,8 @@ class ProlateBasis:
     weights: np.ndarray
     lambdas: np.ndarray
     samples: np.ndarray
+    # Legendre coefficients beta_n of phi_n, one row per mode
+    _beta: np.ndarray = field(repr=False, compare=False)
     _band_blocks: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False, hash=False)
 
@@ -118,21 +85,88 @@ class ProlateBasis:
 
     @property
     def extendable(self) -> np.ndarray:
-        """Boolean mask of modes whose Nystrom extension is trustworthy."""
+        """Boolean mask of modes at or above ``LAMBDA_FLOOR``."""
         return self.lambdas >= LAMBDA_FLOOR
 
-    def require_extendable(self, n: int) -> None:
-        if not (0 <= n <= self.n_max):
-            raise ValueError(f"mode index {n} outside computed range 0..{self.n_max}")
-        if self.lambdas[n] < LAMBDA_FLOOR:
-            raise EigensolverError(
-                f"lambda_{n} = {self.lambdas[n]:.3e} is below the extension floor "
-                f"{LAMBDA_FLOOR:.1e}; the mode cannot be evaluated off-grid")
+
+def _legendre_table(x, size: int) -> np.ndarray:
+    """sqrt(k + 1/2) P_k(x) for k < size, rows k, columns x."""
+    x = np.asarray(x, dtype=float)
+    table = np.empty((size, x.size))
+    table[0] = math.sqrt(0.5)
+    table[1] = math.sqrt(1.5) * x
+    k = np.arange(1.0, size - 1.0)
+    a = np.sqrt((2.0 * k + 1.0) * (2.0 * k + 3.0)) / (k + 1.0)
+    b = k / (k + 1.0) * np.sqrt((2.0 * k + 3.0) / (2.0 * k - 1.0))
+    for j in range(1, size - 1):
+        np.multiply(x, table[j], out=table[j + 1])
+        table[j + 1] *= a[j - 1]
+        table[j + 1] -= b[j - 1] * table[j - 1]
+    return table
+
+
+def _legendre_modes(c: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients beta (rows n, sign-fixed) and lambda_n of modes 0..n_modes-1.
+
+    mu_n follows from int phi_n = mu_n phi_n(0), or for odd n from
+    i c int x phi_n = mu_n phi_n'(0), while lambda_n >= 1/2; below, from the ratio
+    identity mu_n <phi_{n+1}, phi_n'> = i c mu_{n+1} <phi_{n+1}, x phi_n>, whose
+    bilinear forms in beta keep their relative accuracy down the tail.
+    """
+    size = 2 * ((n_modes + math.ceil(c)) // 2 + 20)
+    beta = np.zeros((n_modes, size))
+    for parity in (0, 1):
+        count = len(range(parity, n_modes, 2))
+        if count == 0:
+            continue
+        k = np.arange(parity, size, 2, dtype=float)
+        diag = k * (k + 1.0) + c * c * (2.0 * k * (k + 1.0) - 1.0) / (
+            (2.0 * k + 3.0) * (2.0 * k - 1.0))
+        k = k[:-1]
+        off = c * c * (k + 2.0) * (k + 1.0) / (
+            (2.0 * k + 3.0) * np.sqrt((2.0 * k + 1.0) * (2.0 * k + 5.0)))
+        chi, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        # one correction step from the residual, which is accurate row by row:
+        # eigh alone leaves errors of eps |A| / gap, 1e-14 in lambda near 1
+        v = vecs[:, :count]
+        res = (diag[:, None] - chi[:count]) * v
+        res[:-1] += off[:, None] * v[1:]
+        res[1:] += off[:, None] * v[:-1]
+        gaps = chi[:count] - chi[:, None]
+        gaps[np.arange(count), np.arange(count)] = np.inf
+        v = v + vecs @ ((vecs.T @ res) / gaps)
+        beta[parity::2, parity::2] = (v / np.linalg.norm(v, axis=0)).T
+
+    # phi_n(0) for even n, phi_n'(0) for odd n, from P_k(0) and P_k'(0) = k P_{k-1}(0)
+    k = np.arange(size)
+    p0 = np.zeros(size)
+    p0[::2] = np.cumprod(np.r_[1.0, -(k[2::2] - 1.0) / k[2::2]])
+    at0 = beta @ (np.sqrt(k + 0.5) * np.where(k % 2, k * np.roll(p0, 1), p0))
+    n = np.arange(n_modes)
+    beta *= np.where((at0 < 0.0) == ((n // 2) % 2 == 0), -1.0, 1.0)[:, None]
+    moment = np.where(n % 2, c * math.sqrt(2.0 / 3.0) * beta[n, n % 2],
+                      math.sqrt(2.0) * beta[n, 0])
+    lam = c * (moment / at0) ** 2 / (2.0 * math.pi)
+
+    # x p_k = a_{k+1} p_{k+1} + a_k p_{k-1}, and (d/dx) p_k sums
+    # sqrt((2j + 1)(2k + 1)) p_j over j < k of the other parity
+    a = k[1:] / np.sqrt(4.0 * k[1:] ** 2 - 1.0)
+    x_beta = np.zeros_like(beta)
+    x_beta[:, 1:] += a * beta[:, :-1]
+    x_beta[:, :-1] += a * beta[:, 1:]
+    tail = np.cumsum((np.sqrt(2.0 * k + 1.0) * beta)[:, :0:-1], axis=1)[:, ::-1]
+    d_beta = np.sqrt(2.0 * k[:-1] + 1.0) * tail
+    ratio = (np.einsum("nk,nk->n", beta[1:, :-1], d_beta[:-1])
+             / (c * np.einsum("nk,nk->n", beta[1:], x_beta[:-1]))) ** 2
+    anchor = max(int(np.argmax(lam < 0.5)) - 1, 0) if np.any(lam < 0.5) else n_modes - 1
+    lam[anchor + 1:] = lam[anchor] * np.cumprod(ratio[anchor:])
+    lam = np.minimum.accumulate(np.clip(lam, 0.0, np.nextafter(1.0, 0.0)))
+    return beta, lam
 
 
 def build_basis(params: SlepianParams, n_max: int | None = None,
                 quad_order: int | None = None) -> ProlateBasis:
-    """Solve the sinc-kernel eigenproblem on [-T, T] by Nystrom discretization.
+    """Solve for the prolate modes of the window [-T, T] in the Legendre basis.
 
     Parameters
     ----------
@@ -140,25 +174,23 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
         Window half-length T and Slepian frequency c.
     n_max : int or None
         Highest mode index to keep.  ``None`` keeps every mode whose
-        eigenvalue is at or above ``LAMBDA_FLOOR`` (all extendable), at most
-        quad_order/4 of them.
+        eigenvalue is at or above ``LAMBDA_FLOOR``, at most quad_order/4 of
+        them.
     quad_order : int or None
-        Gauss-Legendre order; default max(4*n_max, ceil(4c), 64).  Orders
-        below the default are rejected.
+        Order of the window rule behind ``samples``; default
+        max(4*n_max, ceil(4c), 64).  Orders below the default are rejected.
 
     Raises
     ------
     EigensolverError
-        If the requested n_max reaches eigenvalues indistinguishable from
-        zero at working precision, or a near-degenerate pair is detected
-        outside the benign clusters at 1 and 0.
+        If the automatic n_max finds no eigenvalue at or above the floor.
     """
     if not isinstance(params, SlepianParams):
         raise TypeError("params must be a SlepianParams instance")
     if n_max is not None and n_max < 0:
         raise ValueError("n_max must be >= 0")
 
-    c, T, omega = params.c, params.T, params.omega
+    c, T = params.c, params.T
     min_order = default_quad_order(c, n_max if n_max is not None else 0)
     if quad_order is None:
         quad_order = min_order
@@ -167,91 +199,68 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
             f"quad_order {quad_order} below the required minimum {min_order} "
             f"for c={c}, n_max={n_max}")
 
-    nodes, weights = gauss_legendre(quad_order, -T, T)
-    sqw = np.sqrt(weights)
-    # scaled and symmetrized in place: one order x order array lives through eigh
-    sym = sinc_kernel(nodes[:, None], nodes[None, :], omega)
-    sym *= sqw[:, None]
-    sym *= sqw[None, :]
-    sym += sym.T
-    sym *= 0.5
-    evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(evals)[::-1]
-    lam_all = np.clip(evals[order], 0.0, np.nextafter(1.0, 0.0))
-    vecs_all = evecs[:, order]
-
-    n_usable = int(np.count_nonzero(lam_all > _ZERO_FLOOR))
     if n_max is None:
-        n_keep = int(np.count_nonzero(lam_all >= LAMBDA_FLOOR))
-        n_keep = min(n_keep, quad_order // 4)
-        if n_keep == 0:
+        beta, lam = _legendre_modes(c, quad_order // 4)
+        n_max = int(np.count_nonzero(lam >= LAMBDA_FLOOR)) - 1
+        if n_max < 0:
             raise EigensolverError(
-                f"no eigenvalue reaches the extension floor {LAMBDA_FLOOR:.1e} "
-                f"at c={c}; increase quad_order")
-        n_max = n_keep - 1
-    elif n_max + 1 > n_usable:
-        raise EigensolverError(
-            f"requested n_max={n_max} but only {n_usable} eigenvalues are "
-            f"numerically distinguishable from zero at quad_order={quad_order}")
+                f"no eigenvalue reaches the floor {LAMBDA_FLOOR:.1e} at c={c}")
+        beta, lam = beta[: n_max + 1].copy(), lam[: n_max + 1].copy()
+    else:
+        beta, lam = _legendre_modes(c, n_max + 1)
 
-    lam = lam_all[: n_max + 1].copy()
-    _check_degeneracy(lam)
-
-    # eigenvector -> eigenfunction samples with window energy lambda_n,
-    # which pins the whole-line norm of the extension to one
-    psi = (np.sqrt(lam)[:, None] * vecs_all[:, : n_max + 1].T) / sqw[None, :]
-
-    # parity sign convention without dividing by lambda:
-    # sum_j w_j K(0,z_j) psi(z_j) = lambda psi(0), same for d/dt at 0
-    wp = weights * psi
-    val0 = wp @ sinc_kernel(0.0, nodes, omega)
-    slope0 = wp @ sinc_kernel_dt(0.0, nodes, omega)
-    for n in range(n_max + 1):
-        ref = val0[n] if n % 2 == 0 else slope0[n]
-        want = -1.0 if (n // 2) % 2 else 1.0  # Hermite sign pattern at t=0
-        if ref * want < 0.0:
-            psi[n] = -psi[n]
-
+    nodes, weights = gauss_legendre(quad_order, -T, T)
+    samples = np.sqrt(lam / T)[:, None] * (beta @ _legendre_table(nodes / T, beta.shape[1]))
     return ProlateBasis(params=params, n_max=n_max, quad_order=quad_order,
                         nodes=nodes, weights=weights, lambdas=lam,
-                        samples=psi)
+                        samples=samples, _beta=beta)
 
 
-def _check_degeneracy(lam: np.ndarray) -> None:
-    # the continuous spectrum is simple; a tiny gap away from the benign
-    # clusters at 1 (saturated) and 0 (below trust) flags eigenvector mixing
-    if lam.size < 2:
-        return
-    gaps = lam[:-1] - lam[1:]
-    saturated = (1.0 - lam) < _SATURATION
-    tail = lam < max(100.0 * LAMBDA_FLOOR, _TAIL_CLUSTER)
-    benign = (saturated[:-1] & saturated[1:]) | tail[:-1] | tail[1:]
-    bad = (gaps < _DEGENERACY_GAP) & ~benign
-    if np.any(bad):
-        n = int(np.argmax(bad))
-        raise EigensolverError(
-            f"near-degenerate eigenvalue pair (lambda_{n}={lam[n]:.16e}, "
-            f"lambda_{n + 1}={lam[n + 1]:.16e}); eigenvectors would mix")
+def _transforms(basis: ProlateBasis, freqs, indices=None) -> np.ndarray:
+    """Psi_n(w) = (-i)^n sqrt(2 pi / Omega) phi_n(w / Omega) for |w| <= Omega, rows n."""
+    n = np.atleast_1d(np.arange(basis.n_modes) if indices is None else np.asarray(indices, int))
+    if np.any((n < 0) | (n > basis.n_max)):
+        raise ValueError(f"mode index outside computed range 0..{basis.n_max}")
+    omega = basis.params.omega
+    phi = basis._beta[n] @ _legendre_table(np.asarray(freqs) / omega, basis._beta.shape[1])
+    return (_PHASES[n % 4] * math.sqrt(2.0 * math.pi / omega))[:, None] * phi
 
 
 def extension_matrix(basis: ProlateBasis, t, indices=None) -> np.ndarray:
-    """Nystrom extension psi_n(t) for the selected modes, rows n, columns t.
+    """psi_n(t) for the selected modes, rows n, columns t, for every real t.
 
-    Valid for every real t, inside and outside the window.
+    The band integral (1/2 pi) int Psi_n(w) exp(i w t) dw: on a Gauss-Legendre
+    rule while Omega |t| <= K, the Legendre degree, and term by term beyond,
+    sqrt(2 Omega / pi) sum_k i^(k - n) beta_nk sqrt(k + 1/2) j_k(Omega t), with
+    the spherical Bessel functions j_k by upward recurrence, stable for k < Omega |t|.
     """
-    if indices is None:
-        indices = np.arange(basis.n_modes)
-    indices = np.atleast_1d(np.asarray(indices, dtype=int))
-    for n in indices:
-        basis.require_extendable(int(n))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    kernel = sinc_kernel(t[:, None], basis.nodes[None, :], basis.params.omega)
-    core = (basis.weights * basis.samples[indices]) / basis.lambdas[indices, None]
-    return core @ kernel.T
+    n = np.atleast_1d(np.arange(basis.n_modes) if indices is None else np.asarray(indices, int))
+    omega, size = basis.params.omega, basis._beta.shape[1]
+    freqs, v = gauss_legendre(math.ceil(0.5 * (basis.params.c + size + basis.n_max)) + 48,
+                              -omega, omega)
+    psi_hat = _transforms(basis, freqs, n) * (v / (2.0 * math.pi))
+    near = omega * np.abs(t) <= size
+    out = np.zeros((n.size, t.size))
+    # Psi_n is real for even n and imaginary for odd n: one of cos and sin each
+    if np.any(psi_hat.real):
+        out[:, near] += psi_hat.real @ np.cos(np.outer(freqs, t[near]))
+    if np.any(psi_hat.imag):
+        out[:, near] -= psi_hat.imag @ np.sin(np.outer(freqs, t[near]))
+    if not np.all(near):
+        z = omega * t[~near]
+        j = np.empty((size, z.size))
+        j[0], j[1] = np.sin(z) / z, (np.sin(z) / z - np.cos(z)) / z
+        for k in range(1, size - 1):
+            j[k + 1] = (2 * k + 1) / z * j[k] - j[k - 1]
+        k = np.arange(size)  # beta_nk = 0 unless k - n is even
+        terms = basis._beta[n] * np.sqrt(k + 0.5) * (-1.0) ** ((k - n[:, None]) // 2)
+        out[:, ~near] = math.sqrt(2.0 * omega / math.pi) * terms @ j
+    return out
 
 
 def eval_psi(basis: ProlateBasis, n: int, t):
-    """Evaluate psi_n at time t (scalar or array) via the Nystrom extension."""
+    """Evaluate psi_n at time t (scalar or array)."""
     t_arr = np.asarray(t, dtype=float)
     vals = extension_matrix(basis, t_arr.ravel(), [n])[0]
     if t_arr.ndim == 0:

@@ -122,6 +122,8 @@ def _four_numbers(value) -> tuple:
 
 _ALL = ("spectrum", "hg-compare", "lambda0", "superres")
 _SUPERRES = ("superres",)
+# the modes a command needs: psi_2 for hg-compare, four derivative rows for superres
+_N_MAX_LEAST = {"spectrum": 0, "hg-compare": 2, "superres": 3}
 
 
 def _field(flag, commands, parse, default=None, help=None, metavar=None, repeat=False):
@@ -146,7 +148,7 @@ class RunConfig:
     c_values: tuple = _field("--c", _ALL, _positives, (), repeat=True,
                              help="Slepian frequency; repeat for several values")
     T: float = _field("--T", _ALL, _positive, 1.0, help="window half-length")
-    n_max: int | None = _field("--n-max", _ALL, _count)
+    n_max: int | None = _field("--n-max", tuple(_N_MAX_LEAST), _count)
     quad_order: int | None = _field("--quad-order", _ALL, _count)
     tau_values: tuple = _field("--tau", _SUPERRES, _positives, (), repeat=True,
                                help="pulse separation; repeat for several values")
@@ -235,15 +237,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.c_values = cfg.c_values or _COMMANDS[cfg.command][1]
     if not cfg.c_values:
         raise ConfigError("no c values given (use --c or --c-grid)")
-    if cfg.command == "hg-compare" and cfg.n_max is not None and cfg.n_max < 2:
-        raise ConfigError(f"--n-max must be >= 2 for hg-compare's mode 2, got {cfg.n_max}")
+    if cfg.n_max is not None and cfg.n_max < _N_MAX_LEAST[cfg.command]:
+        raise ConfigError(f"--n-max must be >= {_N_MAX_LEAST[cfg.command]} for "
+                          f"{cfg.command}, got {cfg.n_max}")
     if cfg.out is None:
         cfg.out = f"{cfg.command.replace('-', '_')}.{cfg.format}"
     return cfg
 
 
 def _basis_for(cfg: RunConfig, c: float, n_max: int | None):
-    # --quad-order is raised to the minimum the kernel and n_max modes need
+    # --quad-order is raised to the minimum of the window rule for c and n_max
     quad = cfg.quad_order
     if quad is not None:
         quad = max(quad, default_quad_order(c, n_max or 0))

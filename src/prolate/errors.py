@@ -18,7 +18,7 @@ class QuadratureError(ProlateError):
 
 
 class EigensolverError(ProlateError):
-    """Kernel eigendecomposition failed or cannot deliver the requested modes."""
+    """The eigensolve failed or cannot deliver the requested modes."""
 
 
 class RankDeficiencyError(ProlateError):

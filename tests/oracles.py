@@ -2,15 +2,16 @@
 
 Each oracle re-derives its quantity through a route separate from the code it
 checks: a deliberately oversized kernel discretization, the frequency domain,
-a finer independent quadrature rule, or a closed form.  None of them import
-the functions they are used to validate.
+a finer independent quadrature rule, a high-precision solve, or a closed
+form.  None of them import the functions they are used to validate.
 """
 
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 
 def dense_nystrom_lambdas(c, T=1.0, order=640, n_top=12):
@@ -31,6 +32,133 @@ def dense_nystrom_lambdas(c, T=1.0, order=640, n_top=12):
     sym = kernel * sw[:, None] * sw[None, :]
     vals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     return np.sort(vals)[::-1][:n_top]
+
+
+def _parity_block(c, parity, count):
+    """Diagonal and off-diagonal of the prolate operator over sqrt(k + 1/2) P_k, k of one parity."""
+    k = np.arange(parity, parity + 2 * count, 2, dtype=float)
+    c2 = c * c
+    diag = k * (k + 1.0) + c2 * (2.0 * k * (k + 1.0) - 1.0) / ((2.0 * k + 3.0) * (2.0 * k - 1.0))
+    k = k[:-1]
+    off = c2 * (k + 2.0) * (k + 1.0) / ((2.0 * k + 3.0) * np.sqrt((2.0 * k + 1.0) * (2.0 * k + 5.0)))
+    return diag, off
+
+
+@functools.lru_cache(maxsize=16)
+def legendre_coefficients(c, n_modes):
+    """Coefficients of phi_0..phi_{n_modes-1} (unit norm on [-1, 1]) over sqrt(k + 1/2) P_k.
+
+    Each parity block of the prolate differential operator is solved by
+    LAPACK's MRRR tridiagonal eigensolver (scipy), and the signs follow the
+    Hermite convention: phi_n(0) for even n, phi_n'(0) for odd n, has the
+    sign (-1)^(n // 2).
+    """
+    m = n_modes // 2 + math.ceil(c) + 40
+    coeffs = np.zeros((n_modes, 2 * m))
+    for parity in (0, 1):
+        count = len(range(parity, n_modes, 2))
+        if count:
+            _, vecs = linalg.eigh_tridiagonal(*_parity_block(c, parity, m), select="i",
+                                              select_range=(0, count - 1))
+            coeffs[parity::2, parity::2] = vecs.T
+    for n in range(n_modes):
+        series = coeffs[n] * np.sqrt(np.arange(2 * m) + 0.5)
+        if n % 2:
+            series = np.polynomial.legendre.legder(series)
+        if np.polynomial.legendre.legval(0.0, series) * (-1) ** (n // 2) < 0.0:
+            coeffs[n] = -coeffs[n]
+    return coeffs
+
+
+def window_mode_values(coeffs, x):
+    """phi_n(x) for x in [-1, 1], rows n, from Legendre coefficients."""
+    k = np.arange(coeffs.shape[1])
+    return np.polynomial.legendre.legval(np.asarray(x, dtype=float),
+                                         (coeffs * np.sqrt(k + 0.5)).T).reshape(len(coeffs), -1)
+
+
+def band_transforms(params, n_modes, w):
+    """Psi_n(w) = (-i)^n sqrt(2 pi / Omega) phi_n(w / Omega) on the band, (len(w), n_modes).
+
+    psi_n is the finite Fourier transform of phi_n, scaled to unit energy on
+    the real line, so its transform is phi_n itself, rescaled to the band.
+    """
+    om = params.omega
+    phi = window_mode_values(legendre_coefficients(params.c, n_modes), np.asarray(w) / om)
+    phases = (-1j) ** np.arange(n_modes)
+    return (phases[:, None] * math.sqrt(2.0 * math.pi / om) * phi).T
+
+
+def _mp_solve(diag, off, shift, rhs):
+    """(A - shift) y = rhs for a symmetric tridiagonal A, Gaussian elimination with row swaps."""
+    m = len(diag)
+    sub = [mp.mpf(0)] + list(off)
+    mid = [d - shift for d in diag]
+    sup = list(off) + [mp.mpf(0)]
+    sup2 = [mp.mpf(0)] * m
+    y = list(rhs)
+    for i in range(m - 1):
+        if abs(sub[i + 1]) > abs(mid[i]):
+            mid[i], sub[i + 1] = sub[i + 1], mid[i]
+            sup[i], mid[i + 1] = mid[i + 1], sup[i]
+            sup2[i], sup[i + 1] = sup[i + 1], sup2[i]
+            y[i], y[i + 1] = y[i + 1], y[i]
+        f = sub[i + 1] / mid[i]
+        mid[i + 1] -= f * sup[i]
+        sup[i + 1] -= f * sup2[i]
+        y[i + 1] -= f * y[i]
+    x = [mp.mpf(0)] * (m + 2)
+    for i in range(m - 1, -1, -1):
+        x[i] = (y[i] - sup[i] * x[i + 1] - sup2[i] * x[i + 2]) / mid[i]
+    return x[:m]
+
+
+@functools.lru_cache(maxsize=16)
+def mp_prolate(c, n_modes):
+    """(lambdas, coeffs) of modes 0..n_modes-1 from a high-precision solve.
+
+    Three steps of Rayleigh quotient iteration in mpmath refine each float64
+    vector of ``legendre_coefficients``.  Then lambda_n = c |mu_n|^2 / (2 pi),
+    with mu_n from the eigenvalue relation at the window edge x = 1:
+    mu_n phi_n(1) = sum_k beta_k sqrt(k + 1/2) 2 i^k j_k(c), with j_k the
+    spherical Bessel functions.  phi_n(1) shrinks like exp(-c), and the sum
+    cancels down to sqrt(lambda_n), so the working precision grows with c
+    and covers lambda_n down to 1e-60.  Returns float64 arrays.
+    """
+    start = legendre_coefficients(c, n_modes)
+    m = start.shape[1] // 2
+    lambdas = np.empty(n_modes)
+    coeffs = np.zeros_like(start)
+    with mp.workdps(45 + math.ceil(0.5 * c)):
+        cm = mp.mpf(c)
+        half = mp.mpf(1) / 2
+        bessel = [mp.sqrt(mp.pi / (2 * cm)) * mp.besselj(k + half, cm) for k in range(2 * m)]
+        for parity in (0, 1):
+            k = [parity + 2 * j for j in range(m)]
+            kk = [mp.mpf(x) for x in k]
+            diag = [x * (x + 1) + cm ** 2 * (2 * x * (x + 1) - 1) / ((2 * x + 3) * (2 * x - 1))
+                    for x in kk]
+            off = [cm ** 2 * (x + 2) * (x + 1) / ((2 * x + 3) * mp.sqrt((2 * x + 1) * (2 * x + 5)))
+                   for x in kk[:-1]]
+            for n in range(parity, n_modes, 2):
+                v = [mp.mpf(float(x)) for x in start[n, parity::2]]
+                for _ in range(3):
+                    av = [diag[i] * v[i] for i in range(m)]
+                    for i in range(m - 1):
+                        av[i] += off[i] * v[i + 1]
+                        av[i + 1] += off[i] * v[i]
+                    chi = mp.fsum(a * b for a, b in zip(av, v))
+                    y = _mp_solve(diag, off, chi, v)
+                    norm = mp.sqrt(mp.fsum(t * t for t in y))
+                    v = [t / norm for t in y]
+                if v[0] * start[n, parity] < 0:
+                    v = [-t for t in v]
+                edge = mp.fsum(b * mp.sqrt(x + half) for b, x in zip(v, kk))
+                ft = mp.fsum(b * mp.sqrt(x + half) * 2 * (-1) ** (j // 2) * bessel[j]
+                             for b, x, j in zip(v, kk, k))
+                lambdas[n] = float(cm * (ft / edge) ** 2 / (2 * mp.pi))
+                coeffs[n, parity::2] = [float(t) for t in v]
+    return lambdas, coeffs
 
 
 def whole_line_inner(basis, n, m, n_omega=None):
@@ -90,7 +218,7 @@ def transform_rows(basis, g_hat, tau0=0.0, n_derivs=3, n_omega=None):
     """<d^m/dt^m g(t - tau0), psi_n> for m = 0..n_derivs, from g's transform g_hat.
 
     A shift is the phase exp(-i w tau0) and a derivative the factor (i w)^m;
-    Parseval against the band transform of psi_n (see ``whole_line_inner``)
+    Parseval against the band transform of psi_n (``band_transforms``)
     leaves a finite integral over the band, taken on an ``n_omega`` point
     Gauss-Legendre rule (scipy's, which stays fast at thousands of points).
     """
@@ -100,8 +228,7 @@ def transform_rows(basis, g_hat, tau0=0.0, n_derivs=3, n_omega=None):
     x, w = _legendre_rule(n_omega)
     x = om * x
     w = om * w
-    alpha = basis.weights * basis.samples / basis.lambdas[:, None]
-    psi_hat = np.exp(-1j * np.outer(x, basis.nodes)) @ alpha.T
+    psi_hat = band_transforms(basis.params, basis.n_modes, x)
     shifted = g_hat(x) * np.exp(-1j * x * tau0)
     rows = [(1j * x) ** m * shifted for m in range(n_derivs + 1)]
     return np.real(np.array(rows) @ (w[:, None] * psi_hat.conj())) / (2.0 * math.pi)

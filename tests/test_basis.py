@@ -1,71 +1,19 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
-from prolate import (EigensolverError, SlepianParams, build_basis, eval_psi,
-                     extension_matrix, lambda0_curve, plunge_index, sinc_kernel,
-                     sinc_kernel_dt)
+from prolate import (GaussianPsf, SlepianParams, build_basis, default_psf_sigma,
+                     eval_psi, extension_matrix, lambda0_curve, plunge_index, project)
 from prolate.quadrature import gauss_legendre
 
 import oracles
 
 
-class TestSincKernel:
-    def test_diagonal_limit(self):
-        assert sinc_kernel(0.3, 0.3, 5.0) == pytest.approx(5.0 / math.pi, rel=1e-15)
-
-    def test_sine_zeros(self):
-        omega = 5.0
-        for k in (1, -2, 3):
-            t = 0.1 + k * math.pi / omega
-            assert sinc_kernel(t, 0.1, omega) == pytest.approx(0.0, abs=1e-15)
-
-    def test_symmetry(self):
-        assert sinc_kernel(0.1, 0.7, 5.0) == pytest.approx(sinc_kernel(0.7, 0.1, 5.0), rel=1e-15)
-
-    def test_derivative_matches_difference_quotient(self):
-        z = np.array([-0.4, 0.0, 0.9])
-        h = 1e-6
-        for t in (0.0, 0.3, 2.0):
-            fd = (sinc_kernel(t + h, z, 7.0) - sinc_kernel(t - h, z, 7.0)) / (2 * h)
-            assert np.allclose(sinc_kernel_dt(t, z, 7.0), fd, atol=1e-7)
-
-    def test_derivative_small_argument_series(self):
-        # leading behavior -omega^3 x / (3 pi), and no jump at the series switch
-        x = np.array([1e-9, 5e-6, 2e-5, 9e-5])
-        vals = sinc_kernel_dt(x, 0.0, 1.0)
-        assert np.allclose(vals, -x / (3.0 * np.pi), rtol=1e-8, atol=0.0)
-        # both branches agree where each is still accurate
-        u = 2e-4
-        exact = (u * np.cos(u) - np.sin(u)) / (np.pi * u * u)
-        series = (u * (-1.0 / 3.0 + u * u / 30.0)) / np.pi
-        assert exact == pytest.approx(series, rel=1e-12)
-        assert sinc_kernel_dt(u, 0.0, 1.0) == pytest.approx(exact, rel=1e-12)
-
-    def test_derivatives_match_mpmath(self):
-        # against 40-digit differentiation of sin(u)/(pi u), on both branches
-        # and on both sides of the switch at |u| = 1
-        above = np.nextafter(1.0, 2.0)
-        us = [1e-9, -1e-9, 1e-3, 0.3, 1.0, 2.0, 5.0, 50.0, 800.0, -2.0,
-              above, -1.0, -above]
-        got = sinc_kernel_dt(np.array(us), 0.0, 1.0)
-        for i, u in enumerate(us):
-            with mp.workdps(40):
-                exact = float(mp.diff(lambda x: mp.sin(x) / (mp.pi * x) if x else 1 / mp.pi,
-                                      mp.mpf(u)))
-            scale = max(abs(exact), 1.0 / (1.0 + abs(u)))
-            assert abs(got[i] - exact) <= 1e-13 * scale, u
-        # no jump between the last fixed-rule point and the first recurrence point
-        assert abs(got[4] - got[10]) < 1e-13
-        assert abs(got[11] - got[12]) < 1e-13
-
-    def test_derivatives_scale_with_omega(self):
-        # K'(x) = omega^2/pi s'(omega x)
-        x = np.linspace(-0.7, 0.9, 17)
-        unit = sinc_kernel_dt(3.0 * x, 0.0, 1.0)
-        assert np.allclose(sinc_kernel_dt(x, 0.0, 3.0), 9.0 * unit, rtol=1e-14, atol=0.0)
+def sinc_kernel(t, z, omega):
+    """Band-limiting kernel sin(omega (t - z)) / (pi (t - z))."""
+    return (omega / math.pi) * np.sinc((omega / math.pi) * (t - z))
 
 
 class TestBuildBasis:
@@ -92,9 +40,12 @@ class TestBuildBasis:
         gram = (b.samples * b.weights) @ b.samples.T
         assert np.max(np.abs(gram - np.diag(b.lambdas))) < 1e-12
 
-    def test_rejects_unreachable_n_max(self):
-        with pytest.raises(EigensolverError):
-            build_basis(SlepianParams(1.0), n_max=30)
+    def test_deep_tail_n_max_builds(self):
+        # lambda_30(1) is about 1e-100: the modes stay resolved and the
+        # eigenvalues keep falling
+        b = build_basis(SlepianParams(1.0), n_max=30)
+        assert np.all(np.diff(b.lambdas) < 0.0) and b.lambdas[-1] > 0.0
+        assert b.lambdas[-1] < 1e-90
 
     def test_rejects_low_quad_order(self):
         with pytest.raises(ValueError):
@@ -107,7 +58,7 @@ class TestBuildBasis:
             SlepianParams(2.0, T=0.0)
 
     def test_large_c_saturated_cluster_builds(self):
-        # eigenvalues pile up at 1 with sub-1e-12 gaps; must not trip the guard
+        # eigenvalues pile up at 1 with sub-1e-12 gaps
         b = build_basis(SlepianParams(20.0), n_max=17)
         assert b.lambdas[0] < 1.0
 
@@ -152,12 +103,83 @@ class TestEvalPsi:
         vals = extension_matrix(b, b.nodes)
         assert np.max(np.abs(vals - b.samples)) < 1e-9
 
-    def test_rejects_subfloor_mode(self):
-        # lambda_8(c = 2) = 2.8e-14 sits below the extension floor 1e-13
+    def test_subfloor_mode_evaluates(self):
+        # lambda_8(c = 2) = 2.8e-14 sits below LAMBDA_FLOOR; its values come
+        # from the band integral, which does not divide by lambda_8, and only
+        # the window identity of project(bandlimited=True) refuses it
         b = build_basis(SlepianParams(2.0), n_max=8)
         assert b.extendable[7] and not b.extendable[8]
-        with pytest.raises(EigensolverError):
-            eval_psi(b, 8, 0.5)
+        # the band integral is accurate to about eps relative to the unit norm
+        inside = eval_psi(b, 8, b.nodes)
+        assert np.max(np.abs(inside - b.samples[8])) < 1e-13
+        assert abs(eval_psi(b, 8, 2.5)) < 1.0
+        with pytest.raises(ValueError):
+            project(np.cos, b, bandlimited=True)
+
+    @pytest.mark.parametrize("c, T", [(0.5, 1.0), (5.0, 2.0), (45.0, 1.0)])
+    def test_far_values_match_band_quadrature(self, c, T):
+        # beyond Omega |t| = K the values come from spherical Bessel functions;
+        # both sides of that switch against a band rule that resolves every t
+        b = build_basis(SlepianParams(c, T=T))
+        t = np.linspace(-40.0 * T, 40.0 * T, 801)
+        x, w = np.polynomial.legendre.leggauss(math.ceil(41.0 * c) + 200)
+        om = b.params.omega
+        psi_hat = oracles.band_transforms(b.params, b.n_modes, om * x)
+        psi_hat *= (om * w / (2.0 * math.pi))[:, None]
+        want = (psi_hat.T @ np.exp(1j * om * np.outer(x, t))).real
+        assert np.max(np.abs(extension_matrix(b, t) - want)) < 1e-11
+
+    @pytest.mark.parametrize("c", [5.0, 20.0, 25.0, 50.0, 100.0])
+    def test_parity_residual_through_the_cluster(self, c):
+        # modes inside the cluster at 1 keep their parity
+        b = build_basis(SlepianParams(c))
+        t = np.linspace(-1.0, 1.0, 201)
+        for n in range(6):
+            vals = eval_psi(b, n, t)
+            residual = np.max(np.abs(vals - (-1) ** n * vals[::-1])) / np.max(np.abs(vals))
+            assert residual < 1e-12, (n, residual)
+
+
+class TestHighPrecisionOracle:
+    """lambda_n and window modes against ``oracles.mp_prolate``."""
+
+    @pytest.mark.parametrize("c, n_modes", [(0.5, 19), (5.0, 36), (20.0, 56)])
+    def test_lambdas_down_to_1e60(self, c, n_modes):
+        want, _ = oracles.mp_prolate(c, n_modes)
+        got = build_basis(SlepianParams(c), n_max=n_modes - 1).lambdas
+        assert want[-1] < 1e-60
+        deep = want >= 1e-60
+        assert np.max(np.abs(got[deep] - want[deep]) / want[deep]) < 1e-10
+        cluster = want > 0.5
+        assert np.all(np.abs(got[cluster] - np.minimum(want[cluster], 1.0)) < 1e-14)
+
+    @pytest.mark.parametrize("c", [45.0, 100.0])
+    def test_cluster_lambdas(self, c):
+        n_modes = plunge_index(c) + 4
+        want, _ = oracles.mp_prolate(c, n_modes)
+        got = build_basis(SlepianParams(c), n_max=n_modes - 1).lambdas
+        assert np.max(np.abs(got - np.minimum(want, 1.0))) < 1e-14
+        assert np.all(got < 1.0) and np.all(np.diff(got) <= 0.0)
+
+    def test_window_samples_near_the_floor(self):
+        # lambda_8..lambda_11 run from 1.6e-7 down to 6.3e-13
+        _, coeffs = oracles.mp_prolate(5.0, 36)
+        b = build_basis(SlepianParams(5.0), n_max=11)
+        want = oracles.window_mode_values(coeffs[8:12], b.nodes)
+        got = b.samples[8:12] / np.sqrt(b.lambdas[8:12, None])
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestBandEnergy:
+    @pytest.mark.parametrize("c, n_max", [(5.0, 64), (100.0, 260)])
+    def test_rows_sum_to_band_energy(self, c, n_max):
+        # every mode, below the floor too: the band transforms must carry no
+        # eps / sqrt(lambda_n) rounding
+        sigma = default_psf_sigma(c)
+        b = build_basis(SlepianParams(c), n_max=n_max)
+        psf = GaussianPsf(sigma)
+        rows = project(lambda t: psf(t - 1.5), b).coeffs
+        assert abs(np.dot(rows, rows) - special.erf(math.sqrt(2.0) * sigma * c)) < 1e-13
 
 
 class TestWholeLineOrthogonality:

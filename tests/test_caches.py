@@ -1,7 +1,7 @@
 """Reuse of Gauss-Legendre rules and band blocks.
 
 The reference for the probe rows is the time-domain route the band route
-replaced: one real-line rule per shifted pulse and the Nystrom extension
+replaced: one real-line rule per shifted pulse and ``extension_matrix``
 onto all of its nodes.  Band blocks are checked against a cold basis.
 """
 

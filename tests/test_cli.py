@@ -96,11 +96,28 @@ class TestSpectrum:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
-    def test_numerical_failure_exit(self, tmp_path):
+    def test_numerical_failure_exit(self, tmp_path, monkeypatch):
+        # no input makes the Legendre-basis solve fail, so one is injected
+        def fail(*args, **kwargs):
+            raise prolate.EigensolverError("injected")
+
+        monkeypatch.setattr("prolate.cli.build_basis", fail)
         out = tmp_path / "never.csv"
-        code = main(["spectrum", "--c", "1", "--n-max", "40", "--out", str(out)])
+        code = main(["spectrum", "--c", "1", "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0.02:1.22:0.04", "1.58:1.8:0.02"])
+    def test_default_n_max_at_small_c(self, tmp_path, grid):
+        # the default n_max is plunge_index(c) + 6, deep in the tail at small c
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", f"--c-grid={grid}", "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out)
+        c_values = parse_grid(grid)
+        assert len(rows) == sum(prolate.plunge_index(c) + 7 for c in c_values)
+        for c in c_values:
+            lam = np.array([float(r[2]) for r in rows if float(r[0]) == c])
+            assert np.all(np.diff(lam) <= 0.0) and 0.0 < lam[-1] and lam[0] < 1.0
 
     def test_io_failure_exit(self, tmp_path):
         code = main(["spectrum", "--c", "3",
@@ -346,9 +363,11 @@ class TestDeterminismAndConfig:
         (["lambda0", "--c", "2"], {"out": 1}, "--out must be a string, got 1"),
         (["lambda0"], {"c": [2]}, "has unknown keys 'c'"),
         (["hg-compare", "--c", "5", "--n-max", "1"], None, "--n-max must be >= 2"),
+        (["superres", "--c", "5", "--tau", "0.3", "--n-max", "2"], None,
+         "--n-max must be >= 3 for superres, got 2"),
     ], ids=["c-values-number", "tau-values-number", "not-an-object", "quad-order-overflow",
             "design-two-numbers", "n-max-fraction", "regime-unknown", "out-number",
-            "unknown-key", "hg-compare-n-max-1"])
+            "unknown-key", "hg-compare-n-max-1", "superres-n-max-2"])
     def test_config_file_checked_like_flags(self, tmp_path, monkeypatch, capsys,
                                             argv, doc, message):
         monkeypatch.chdir(tmp_path)
@@ -360,6 +379,19 @@ class TestDeterminismAndConfig:
         assert captured.err.startswith("configuration error: ") and message in captured.err
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ([] if doc is None else ["cfg.json"])
+
+    def test_lambda0_takes_no_n_max(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["lambda0", "--c", "5", "--n-max", "3"]) == EXIT_CONFIG
+        assert "--n-max" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        # a manifest that recorded n_max still replays: it is another command's field
+        assert main(["lambda0", "--c", "5", "--out", "a.csv"]) == EXIT_OK
+        doc = json.loads(Path("a.csv.manifest.json").read_text())
+        doc["config"].update(n_max=40, out="b.csv")
+        Path("old.json").write_text(json.dumps(doc))
+        assert main(["lambda0", "--config", "old.json"]) == EXIT_OK
+        assert Path("b.csv").read_text().replace("b.csv", "a.csv") == Path("a.csv").read_text()
 
     def test_design_text_in_file_same_as_flag(self, tmp_path, monkeypatch):
         # the default third row is not a valid measurement with this design

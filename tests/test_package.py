@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -30,3 +33,20 @@ def test_traced_names_resolve():
     spec.loader.exec_module(tracing)
     for module, name, _ in tracing.TRACED:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # scipy and mpmath are test oracles; the package must import and run without them
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
+        "import prolate\n"
+        "from prolate.cli import main\n"
+        "basis = prolate.build_basis(prolate.SlepianParams(5.0))\n"
+        "assert basis.n_max == 11, basis.n_max\n"
+        "sys.exit(main(['spectrum', '--c', '5', '--out', 'spec.csv']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(prolate.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "spec.csv").exists()
