@@ -268,18 +268,14 @@ def eval_psi(basis: ProlateBasis, n: int, t):
     return vals.reshape(t_arr.shape)
 
 
-def lambda0_curve(c_values, T: float = 1.0, quad_order: int | None = None) -> np.ndarray:
-    """Table of (c, lambda_0(c)) rows for the given c values.
-
-    A ``quad_order`` below ``default_quad_order(c, 0)`` is raised to it.
-    """
+def lambda0_curve(c_values, T: float = 1.0) -> np.ndarray:
+    """Table of (c, lambda_0(c)) rows for the given c values."""
     c_values = np.atleast_1d(np.asarray(c_values, dtype=float))
     if c_values.size == 0:
         raise ValueError("c_values must be non-empty")
     rows = np.empty((c_values.size, 2))
     for i, c in enumerate(c_values):
-        quad = None if quad_order is None else max(quad_order, default_quad_order(c, 0))
-        basis = build_basis(SlepianParams(c=float(c), T=T), n_max=0, quad_order=quad)
+        basis = build_basis(SlepianParams(c=float(c), T=T), n_max=0)
         rows[i, 0] = c
         rows[i, 1] = basis.lambdas[0]
     return rows

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class RunConfig:
                              help="Slepian frequency; repeat for several values")
     T: float = _field("--T", _ALL, _positive, 1.0, help="window half-length")
     n_max: int | None = _field("--n-max", tuple(_N_MAX_LEAST), _count)
-    quad_order: int | None = _field("--quad-order", _ALL, _count)
+    quad_order: int | None = _field("--quad-order", _SUPERRES, _count)
     tau_values: tuple = _field("--tau", _SUPERRES, _positives, (), repeat=True,
                                help="pulse separation; repeat for several values")
     tau0: float = _field("--tau0", _SUPERRES, _number, 0.0, help="centroid")
@@ -245,19 +245,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _basis_for(cfg: RunConfig, c: float, n_max: int | None):
-    # --quad-order is raised to the minimum of the window rule for c and n_max
-    quad = cfg.quad_order
-    if quad is not None:
-        quad = max(quad, default_quad_order(c, n_max or 0))
-    return build_basis(SlepianParams(c=c, T=cfg.T), n_max=n_max, quad_order=quad)
-
-
 def run_spectrum(cfg: RunConfig):
     rows = []
     for c in cfg.c_values:
         n_max = cfg.n_max if cfg.n_max is not None else plunge_index(c) + 6
-        basis = _basis_for(cfg, c, n_max)
+        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=n_max)
         for n, lam in enumerate(basis.lambdas):
             rows.append((c, n, float(lam)))
     return ("c", "n", "lambda"), rows
@@ -268,7 +260,7 @@ def run_hg_compare(cfg: RunConfig):
     rows = []
     for c in cfg.c_values:
         n_max = cfg.n_max if cfg.n_max is not None else max(4, plunge_index(c) + 2)
-        basis = _basis_for(cfg, c, n_max)
+        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=n_max)
         psi2 = eval_psi(basis, 2, t)
         hg2 = hg_eval(HermiteGaussMode(2, c), t / cfg.T) / math.sqrt(cfg.T)
         sup = float(np.max(np.abs(psi2 - hg2)))
@@ -278,7 +270,7 @@ def run_hg_compare(cfg: RunConfig):
 
 
 def run_lambda0(cfg: RunConfig):
-    table = lambda0_curve(cfg.c_values, cfg.T, cfg.quad_order)
+    table = lambda0_curve(cfg.c_values, cfg.T)
     return ("c", "lambda0"), [(float(c), float(lam)) for c, lam in table]
 
 
@@ -286,7 +278,11 @@ def run_superres(cfg: RunConfig):
     design = design_from_sphere(*cfg.design, row2=cfg.design_row2)
     rows = []
     for c in cfg.c_values:
-        basis = _basis_for(cfg, c, cfg.n_max)
+        # --quad-order is raised to the minimum of the window rule for c and n_max
+        quad = cfg.quad_order
+        if quad is not None:
+            quad = max(quad, default_quad_order(c, cfg.n_max or 0))
+        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=cfg.n_max, quad_order=quad)
         sigma = cfg.sigma if cfg.sigma is not None else cfg.T * default_psf_sigma(c)
         taus = cfg.tau_values or (sigma,)
         model0 = TwoPulseModel(GaussianPsf(sigma), tau=taus[0], tau0=cfg.tau0, nu=cfg.nu)
@@ -295,9 +291,8 @@ def run_superres(cfg: RunConfig):
         tl_design = time_limited_design(design, dbasis, basis)
         bound_phi2, bound_lambda0 = efficiency_bounds(dbasis, basis)
         a_value = efficiency_factor(tl_design if cfg.regime == "limited" else design)
-        for tau in taus:
-            model = TwoPulseModel(GaussianPsf(sigma), tau=tau, tau0=cfg.tau0, nu=cfg.nu)
-            fisher = superres_fisher(model, povm, basis, cfg.regime)
+        models = [replace(model0, tau=tau) for tau in taus]
+        for tau, fisher in zip(taus, superres_fisher(models, povm, basis, cfg.regime)):
             try:
                 bounds = crb(fisher)
             except SingularFisherError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ProlateBasis
-from .bandlimited import _pulse_rows
+from .bandlimited import _pulse_rows, _pulse_transform
 from .errors import IdentifiabilityError, PovmValidityError, RankDeficiencyError
 from .metrology import (POVM_SLACK, FisherMatrix, Povm, PovmElement, ProbeState,
                         _default_steps, fisher_matrix, probabilities_ideal,
@@ -84,23 +84,22 @@ class TwoPulseModel:
         return np.array([self.tau, self.tau0, self.nu])
 
 
-def _pulse_modes(model: TwoPulseModel, basis: ProlateBasis, shifts, n_derivs: int):
-    # rows of Psf(t - tau0) at each shift from one sampling, whose energy also
+def _sampled_pulse(psf, tau0: float, basis: ProlateBasis):
+    # the band transform of Psf(t - tau0) from one sampling, whose energy also
     # shows a pulse that is not unit-norm or too narrow for the rule to resolve
-    rows, energy = _pulse_rows(lambda t: model.psf(t - model.tau0), basis,
-                               shifts, n_derivs)
+    transform, energy = _pulse_transform(lambda t: psf(t - tau0), basis)
     err = abs(energy - 1.0)
     if not err <= 1e-6:
         raise ValueError(f"point spread function is not unit-norm, or narrower than "
                          f"the real-line rule resolves (|energy - 1| = {err:.3e})")
-    return rows
+    return transform
 
 
-def _probe(model: TwoPulseModel, basis: ProlateBasis,
-           modes: np.ndarray | None = None) -> ProbeState:
-    # ``modes`` passes rows already made for the same tau and tau0
-    if modes is None:
-        modes = _pulse_modes(model, basis, (0.5 * model.tau, -0.5 * model.tau), 0)[:, 0]
+def _probe(model: TwoPulseModel, basis: ProlateBasis, transform=None) -> ProbeState:
+    # ``transform`` passes the sampling already made for the same psf and tau0
+    if transform is None:
+        transform = _sampled_pulse(model.psf, model.tau0, basis)
+    modes = _pulse_rows(transform, (0.5 * model.tau, -0.5 * model.tau), 0)[:, 0]
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
                       modes=modes, params=basis.params)
 
@@ -147,7 +146,7 @@ def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
     of the samples times (i w)^n over the band of the basis: no step size
     enters and no derivative of the pulse is needed.
     """
-    gamma = _pulse_modes(model, basis, (0.0,), N_DERIVS)[0]
+    gamma = _pulse_rows(_sampled_pulse(model.psf, model.tau0, basis), (0.0,), N_DERIVS)[0]
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 
@@ -305,38 +304,51 @@ def efficiency_bounds(dbasis: DerivativeBasis, basis: ProlateBasis) -> tuple[flo
     return bound_phi2, float(basis.lambdas[0])
 
 
-def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
-                    regime: str = "ideal", *, tau_floor: float | None = None) -> FisherMatrix:
+def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal", *,
+                    tau_floor: float | None = None):
     """Fisher information of theta = (tau, tau0, nu) under the chosen regime.
 
-    ``regime`` selects how outcome probabilities are computed: "ideal",
-    "limited" (band + window) or "truncated" (coefficient sums cut at the
-    plunge index).  Separations below ``tau_floor`` (default 1e-4 sigma for
-    Gaussian pulses) are refused: the parameters degenerate there and the
-    singularity is physical, not numerical.  A separation within one
-    finite-difference step of 0, or an intensity ratio nu within one of 0
-    or 1, is refused too: the steps would leave the parameter range.
+    ``model`` is one TwoPulseModel, or a sequence of models that share psf,
+    tau0 and nu, such as several separations at one centroid; a sequence
+    gives a list with one FisherMatrix per model, each equal to the call for
+    that model alone.  ``regime`` selects how outcome probabilities are
+    computed: "ideal", "limited" (band + window) or "truncated" (coefficient
+    sums cut at the plunge index).  Separations below ``tau_floor`` (default
+    1e-4 sigma for Gaussian pulses) are refused: the parameters degenerate
+    there and the singularity is physical, not numerical.  A separation
+    within one finite-difference step of 0, or an intensity ratio nu within
+    one of 0 or 1, is refused too: the steps would leave the parameter range.
+    Every model is checked before the pulse is sampled.
     """
+    single = isinstance(model, TwoPulseModel)
+    models = [model] if single else list(model)
+    if not models:
+        raise ValueError("no models given")
+    first = models[0]
+    if any((m.psf, m.tau0, m.nu) != (first.psf, first.tau0, first.nu) for m in models):
+        raise ValueError("models must share psf, tau0 and nu")
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if tau_floor is None:
-        sigma = getattr(model.psf, "sigma", None)
+        sigma = getattr(first.psf, "sigma", None)
         if sigma is None:
             raise ValueError("tau_floor is required for point spread functions "
                              "without a sigma attribute")
         tau_floor = 1e-4 * sigma
-    if model.tau < tau_floor:
-        raise IdentifiabilityError(
-            f"separation tau = {model.tau!r} below the floor {tau_floor!r}; "
-            f"parameters are not identifiable in this regime")
-    tau_step, _, nu_step = (float(h) for h in _default_steps(model.theta))
-    if model.tau - tau_step < 0.0:
-        raise IdentifiabilityError(f"separation tau = {model.tau!r} within the Fisher step "
-                                   f"{tau_step!r} of 0; the steps in tau would make it negative")
-    if model.nu - nu_step < 0.0 or model.nu + nu_step > 1.0:
-        raise IdentifiabilityError(
-            f"intensity ratio nu = {model.nu!r} within the Fisher step {nu_step!r} "
-            f"of 0 or 1; the steps in nu would leave [0, 1]")
+    for m in models:
+        if m.tau < tau_floor:
+            raise IdentifiabilityError(
+                f"separation tau = {m.tau!r} below the floor {tau_floor!r}; "
+                f"parameters are not identifiable in this regime")
+        tau_step, _, nu_step = (float(h) for h in _default_steps(m.theta))
+        if m.tau - tau_step < 0.0:
+            raise IdentifiabilityError(f"separation tau = {m.tau!r} within the Fisher step "
+                                       f"{tau_step!r} of 0; the steps in tau would make it "
+                                       f"negative")
+        if m.nu - nu_step < 0.0 or m.nu + nu_step > 1.0:
+            raise IdentifiabilityError(
+                f"intensity ratio nu = {m.nu!r} within the Fisher step {nu_step!r} "
+                f"of 0 or 1; the steps in nu would leave [0, 1]")
     if regime == "ideal":
         def route(probe):
             return probabilities_ideal(probe, povm)
@@ -347,13 +359,17 @@ def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
         def route(probe):
             return probabilities_truncated(probe, povm, basis.params.c)
 
-    # the steps in nu keep theta's shifts, so the pulse is sampled once per (tau, tau0)
-    rows = {}
+    # a probe is the shifts +/- tau/2 of one sampling of Psf(t - tau0), so the
+    # pulse is sampled once for each tau0 the steps reach: five in all, which
+    # serve every separation and every step in tau and nu
+    transforms = {}
 
     def prob_model(theta):
-        m = replace(model, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
-        probe = _probe(m, basis, modes=rows.get((m.tau, m.tau0)))
-        rows[m.tau, m.tau0] = probe.modes
-        return route(probe)
+        m = replace(first, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
+        if m.tau0 not in transforms:
+            transforms[m.tau0] = _sampled_pulse(m.psf, m.tau0, basis)
+        return route(_probe(m, basis, transforms[m.tau0]))
 
-    return fisher_matrix(prob_model, model.theta, labels=("tau", "tau0", "nu"))
+    fishers = [fisher_matrix(prob_model, m.theta, labels=("tau", "tau0", "nu"))
+               for m in models]
+    return fishers[0] if single else fishers

@@ -22,6 +22,16 @@ class TestProject:
         expect[3] = 1.0
         assert np.max(np.abs(g.coeffs - expect)) < 1e-7
 
+    @pytest.mark.parametrize("c", [2.0, 5.0, 20.0, 45.0])
+    def test_bandlimited_rounding_grows_as_one_over_sqrt_lambda(self, basis_cache, c):
+        # the window identity divides window integrals by lambda_n, so
+        # coefficient n carries the rounding of f's window values over sqrt(lambda_n)
+        b = basis_cache(c)
+        bound = 100.0 * np.finfo(float).eps / np.sqrt(b.lambdas)
+        for k in range(4):
+            g = project(lambda t: eval_psi(b, k, t), b, bandlimited=True)
+            assert np.all(np.abs(g.coeffs - np.eye(b.n_modes)[k]) <= bound)
+
     def test_zero_function(self, b5):
         g = project(lambda t: np.zeros_like(t), b5)
         assert np.all(g.coeffs == 0.0)

@@ -26,7 +26,7 @@ def sech_pulse(w):
     return lambda t: 1.0 / (np.cosh(np.asarray(t, dtype=float) / w) * math.sqrt(2.0 * w))
 
 
-def time_domain_probe(model, basis, modes=None):
+def time_domain_probe(model, basis, transform=None):
     """The probe without the band route: a rule per shifted pulse, extended onto its nodes."""
     T = basis.params.T
     rows = []
@@ -97,8 +97,8 @@ def _fisher_inputs(c, psf):
 
 
 def test_superres_fisher_checks_pulse_norm_once(monkeypatch):
-    # the norm comes with each sampling: 9 distinct (tau, tau0), one rule each,
-    # and no rule of its own
+    # the norm comes with each sampling: 5 distinct tau0, one rule each, and
+    # no rule of its own
     rules = Counter()
     original = bandlimited.real_line_rule
 
@@ -113,7 +113,7 @@ def test_superres_fisher_checks_pulse_norm_once(monkeypatch):
     rules.clear()
     tau_floor = 1e-4 * default_psf_sigma(c)
     superres_fisher(model, povm, basis, "limited", tau_floor=tau_floor)
-    assert rules["rule"] == 9
+    assert rules["rule"] == 5
 
     unnormalized = replace(model, psf=PlainGaussian(default_psf_sigma(c), scale=1.5))
     with pytest.raises(ValueError, match="not unit-norm"):
@@ -136,8 +136,15 @@ def test_superres_row_matches_uncached_projection(monkeypatch, c, regime):
             np.array([fisher.matrix[0, 0], *crb(fisher)])
 
     design_now, fisher_now = row()
-    monkeypatch.setattr(superres, "_probe", time_domain_probe)
+    probes = Counter()
+
+    def counted_probe(*args, **kwargs):
+        probes["probe"] += 1
+        return time_domain_probe(*args, **kwargs)
+
+    monkeypatch.setattr(superres, "_probe", counted_probe)
     design_ref, fisher_ref = row()
+    assert probes["probe"] == 13  # every probability of the Fisher matrix
     assert np.all(np.abs(design_now - design_ref) <= 1e-11 * np.abs(design_ref))
     assert np.all(np.abs(fisher_now - fisher_ref) <= 1e-7 * np.abs(fisher_ref))
 

@@ -64,14 +64,18 @@ def test_huge_grid_refused_before_building(tmp_path):
     assert not (tmp_path / "never.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [["lambda0", "--c-grid", "0.5:20:0.5"],
-                                  ["superres", "--c", "5", "--tau", "0.3"]],
+@pytest.mark.parametrize("argv, code", [(["lambda0", "--c-grid", "0.5:20:0.5"], EXIT_CONFIG),
+                                        (["superres", "--c", "5", "--tau", "0.3"], EXIT_OK)],
                          ids=["lambda0", "superres"])
-def test_low_quad_order_raised_to_minimum(tmp_path, argv):
+def test_low_quad_order_raised_to_minimum(tmp_path, argv, code):
+    # only superres takes --quad-order, whose window rule caps its automatic n_max
     low, default = tmp_path / "low.csv", tmp_path / "default.csv"
-    assert main(argv + ["--quad-order", "10", "--out", str(low)]) == EXIT_OK
-    assert main(argv + ["--out", str(default)]) == EXIT_OK
-    assert read_rows(low) == read_rows(default)
+    assert main(argv + ["--quad-order", "10", "--out", str(low)]) == code
+    if code == EXIT_OK:
+        assert main(argv + ["--out", str(default)]) == EXIT_OK
+        assert read_rows(low) == read_rows(default)
+    else:
+        assert not low.exists()
 
 
 class TestSpectrum:
@@ -251,6 +255,27 @@ class TestSuperres:
         assert "|energy - 1| = 1.4" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("c, regime", [("1.2", "limited"), ("3", "ideal"),
+                                           ("12", "truncated")])
+    def test_taus_of_one_run_match_one_tau_runs(self, tmp_path, capsys, c, regime):
+        # one Fisher call serves every tau of a c: same data rows and stderr
+        # as a run per tau
+        def run(name, taus):
+            argv = ["superres", "--c", c, "--regime", regime, "--out", str(tmp_path / name)]
+            for tau in taus:
+                argv += ["--tau", tau]
+            assert main(argv) == EXIT_OK
+            with open(tmp_path / name) as fh:
+                data = [line for line in fh if not line.startswith("#")]
+            return data, capsys.readouterr().err
+
+        taus = ("0.1", "0.25", "0.4")
+        data, err = run("all.csv", taus)
+        singles = [run(f"{i}.csv", (tau,)) for i, tau in enumerate(taus)]
+        assert len(data) == 4
+        assert data == [singles[0][0][0]] + [d[1] for d, _ in singles]
+        assert err == "".join(e for _, e in singles)
+
     def test_tau_within_step_names_the_step(self, tmp_path, capsys):
         # passes the default floor 1e-4 sigma = 8.2e-6 but not the Fisher step 1e-5
         out = tmp_path / "never.csv"
@@ -391,6 +416,20 @@ class TestDeterminismAndConfig:
         doc["config"].update(n_max=40, out="b.csv")
         Path("old.json").write_text(json.dumps(doc))
         assert main(["lambda0", "--config", "old.json"]) == EXIT_OK
+        assert Path("b.csv").read_text().replace("b.csv", "a.csv") == Path("a.csv").read_text()
+
+    @pytest.mark.parametrize("command", ["spectrum", "lambda0", "hg-compare"])
+    def test_quad_order_only_for_superres(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--c", "5", "--quad-order", "400"]) == EXIT_CONFIG
+        assert "--quad-order" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        # a manifest that recorded quad_order still replays: it is superres's field
+        assert main([command, "--c", "5", "--out", "a.csv"]) == EXIT_OK
+        doc = json.loads(Path("a.csv.manifest.json").read_text())
+        doc["config"].update(quad_order=400, out="b.csv")
+        Path("old.json").write_text(json.dumps(doc))
+        assert main([command, "--config", "old.json"]) == EXIT_OK
         assert Path("b.csv").read_text().replace("b.csv", "a.csv") == Path("a.csv").read_text()
 
     def test_design_text_in_file_same_as_flag(self, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
 """Whole-line projections: the paired real-line rule, one sampling per call
-and the Fisher rows shared across steps in nu.
+and the Fisher rows shared across steps and separations.
 
 The references are the plain formulas these replace: a rule that samples
 one panel at a time through ``gauss_legendre``, and ``fisher_matrix`` over
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import prolate.bandlimited as bandlimited
-from prolate import (GaussianPsf, SlepianParams, TwoPulseModel, build_basis,
-                     default_psf_sigma, design_from_sphere, fisher_matrix,
+from prolate import (GaussianPsf, IdentifiabilityError, SlepianParams, TwoPulseModel,
+                     build_basis, default_psf_sigma, design_from_sphere, fisher_matrix,
                      gamma_modes, gram_schmidt, optimal_povm,
                      probabilities_ideal, probabilities_limited,
                      probabilities_truncated, probe_from_model, project,
@@ -117,6 +117,18 @@ def test_one_rule_per_call(monkeypatch, name):
     assert np.array_equal(row0, project(psf, basis).coeffs)
 
 
+def _count_rules(monkeypatch):
+    calls = Counter()
+    original = bandlimited.real_line_rule
+
+    def counted(*args, **kwargs):
+        calls["rule"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bandlimited, "real_line_rule", counted)
+    return calls
+
+
 @pytest.mark.parametrize("regime", ["ideal", "limited", "truncated"])
 def test_superres_fisher_shares_rows_across_nu_steps(monkeypatch, regime):
     c = 6.0
@@ -137,17 +149,59 @@ def test_superres_fisher_shares_rows_across_nu_steps(monkeypatch, regime):
 
     want = fisher_matrix(prob_model, model.theta, labels=("tau", "tau0", "nu"))
 
-    calls = Counter()
-    original = bandlimited.real_line_rule
-
-    def counted(*args, **kwargs):
-        calls["rule"] += 1
-        return original(*args, **kwargs)
-
-    # one sampling per distinct (tau, tau0), each giving both shifted rows
-    monkeypatch.setattr(bandlimited, "real_line_rule", counted)
+    # one sampling per distinct tau0, each giving the rows of every tau and nu step
+    calls = _count_rules(monkeypatch)
     got = superres_fisher(model, povm, basis, regime)
-    assert calls["rule"] == 9
+    assert calls["rule"] == 5
     assert np.array_equal(got.matrix, want.matrix)
     assert got.labels == want.labels and np.array_equal(got.steps, want.steps)
     assert got.excluded_outcomes == want.excluded_outcomes
+
+
+def _sweep_inputs(c):
+    basis = build_basis(SlepianParams(c))
+    sigma = default_psf_sigma(c)
+    model = TwoPulseModel(GaussianPsf(sigma), tau=sigma, tau0=0.05, nu=0.4)
+    design = design_from_sphere(0.7, math.pi / 3.0, 0.7, math.pi / 3.0 - 1.2,
+                                row2=(0.55, 0.55, 0.0, 0.0))
+    return basis, model, optimal_povm(design, gram_schmidt(gamma_modes(model, basis)))
+
+
+@pytest.mark.parametrize("c, regime", [(1.2, "limited"), (3.0, "ideal"), (6.0, "limited"),
+                                       (12.0, "truncated"), (45.0, "ideal")])
+def test_superres_fisher_over_taus_equals_single_calls(monkeypatch, c, regime):
+    basis, model, povm = _sweep_inputs(c)
+    models = [replace(model, tau=f * model.psf.sigma) for f in (0.1, 0.35, 0.8, 1.5)]
+    want = [superres_fisher(m, povm, basis, regime) for m in models]
+    calls = _count_rules(monkeypatch)
+    got = superres_fisher(models, povm, basis, regime)
+    assert calls["rule"] == 5  # one per tau0 the steps reach, whatever the tau count
+    assert len(got) == len(models)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.matrix, w.matrix)
+        assert np.array_equal(g.steps, w.steps)
+        assert g.excluded_outcomes == w.excluded_outcomes
+    calls.clear()
+    superres_fisher(models[:1], povm, basis, regime)
+    assert calls["rule"] == 5
+
+
+def test_superres_fisher_checks_every_tau_before_sampling(monkeypatch):
+    basis, model, povm = _sweep_inputs(5.0)
+    calls = _count_rules(monkeypatch)
+    with pytest.raises(IdentifiabilityError, match="below the floor"):
+        superres_fisher([model, replace(model, tau=1e-9)], povm, basis, "ideal")
+    with pytest.raises(IdentifiabilityError, match="Fisher step"):
+        superres_fisher([model, replace(model, tau=4e-6)], povm, basis, "ideal",
+                        tau_floor=0.0)
+    assert calls["rule"] == 0
+
+
+@pytest.mark.parametrize("change", [dict(tau0=0.1), dict(nu=0.5),
+                                    dict(psf=GaussianPsf(0.3))])
+def test_superres_fisher_models_must_share_pulse(change):
+    basis, model, povm = _sweep_inputs(5.0)
+    with pytest.raises(ValueError, match="share psf, tau0 and nu"):
+        superres_fisher([model, replace(model, tau=0.2, **change)], povm, basis, "ideal")
+    with pytest.raises(ValueError, match="no models"):
+        superres_fisher([], povm, basis, "ideal")
