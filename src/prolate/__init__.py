@@ -8,8 +8,8 @@ superresolution measurement.
 """
 
 from .bandlimited import BandlimitedFunction, band_energy_fraction, project, synthesize
-from .basis import (LAMBDA_FLOOR, ProlateBasis, build_basis, default_quad_order,
-                    eval_psi, extension_matrix, lambda0_curve, plunge_index)
+from .basis import (LAMBDA_FLOOR, ProlateBasis, build_basis, eval_psi,
+                    extension_matrix, lambda0_curve, plunge_index)
 from .errors import (EigensolverError, IdentifiabilityError,
                      PovmValidityError, ProlateError, QuadratureError,
                      RankDeficiencyError, SingularFisherError)
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandlimitedFunction", "band_energy_fraction", "project", "synthesize",
-    "LAMBDA_FLOOR", "ProlateBasis", "build_basis", "default_quad_order",
-    "eval_psi", "extension_matrix", "lambda0_curve", "plunge_index",
+    "LAMBDA_FLOOR", "ProlateBasis", "build_basis", "eval_psi",
+    "extension_matrix", "lambda0_curve", "plunge_index",
     "EigensolverError", "IdentifiabilityError",
     "PovmValidityError", "ProlateError", "QuadratureError",
     "RankDeficiencyError", "SingularFisherError",

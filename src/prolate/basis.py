@@ -32,6 +32,10 @@ from .quadrature import gauss_legendre
 #: ``project(bandlimited=True)``, which divides by lambda_n, refuses modes below.
 LAMBDA_FLOOR = 1e-13
 
+#: Most Legendre terms, 2((n_modes + ceil(c))//2 + 20), that ``build_basis`` solves in;
+#: its dense solve peaks near 220 MB there (c = 5, n_max = 2003).  More are refused.
+MAX_LEGENDRE_SIZE = 2048
+
 _PHASES = np.array([1.0, -1j, -1.0, 1j])  # (-i)^n for n mod 4
 
 
@@ -43,37 +47,32 @@ def plunge_index(c: float) -> int:
     return max(1, math.ceil(2.0 * c / math.pi - 1e-12))
 
 
-def default_quad_order(c: float, n_max: int) -> int:
-    """Minimum Gauss-Legendre order of the window rule for c and n_max modes."""
-    return max(4 * n_max, math.ceil(4.0 * c), 64)
+def _legendre_shape(c: float, n_max: int | None = None) -> tuple[int, int]:
+    """Modes and Legendre terms ``build_basis`` solves for; the automatic
+    n_max (``None``) keeps at most max(ceil(4c), 64) // 4 modes."""
+    n_modes = max(math.ceil(4.0 * c), 64) // 4 if n_max is None else n_max + 1
+    return n_modes, 2 * ((n_modes + math.ceil(c)) // 2 + 20)
 
 
 @dataclass(frozen=True)
 class ProlateBasis:
     """Computed family psi_0..psi_n_max for one (c, T) configuration.
 
-    Immutable after construction; safe to share across threads.  It carries
-    one private, lazily filled cache of read-only arrays: per panel order,
-    the band blocks B and R through which every whole-line projection runs
-    (at c = 45, 126 KB and 305 KB).  Two threads filling it at once each
-    build their own copy and the last one stored is kept; no result changes.
+    Immutable after construction; safe to share across threads.  Every value
+    of psi_n comes from the modes' Legendre coefficients, kept privately with
+    one lazily filled cache of read-only arrays: per panel order, the band
+    blocks B and R through which every whole-line projection runs (at c = 45,
+    126 KB and 305 KB).  Two threads filling it at once each build their own
+    copy and the last one stored is kept; no result changes.
 
     Attributes
     ----------
-    nodes, weights : Gauss-Legendre rule of order ``quad_order`` on [-T, T],
-        the window rule of ``samples`` and ``project(bandlimited=True)``.
     lambdas : concentration eigenvalues, non-increasing, in [0, 1).
-    samples : psi_n at the nodes, one row per mode.  Values anywhere else
-        come from the modes' Legendre coefficients, which the basis keeps.
     """
 
     params: SlepianParams
     n_max: int
-    quad_order: int
-    nodes: np.ndarray
-    weights: np.ndarray
     lambdas: np.ndarray
-    samples: np.ndarray
     # Legendre coefficients beta_n of phi_n, one row per mode
     _beta: np.ndarray = field(repr=False, compare=False)
     _band_blocks: dict = field(default_factory=dict, init=False,
@@ -82,11 +81,6 @@ class ProlateBasis:
     @property
     def n_modes(self) -> int:
         return self.n_max + 1
-
-    @property
-    def extendable(self) -> np.ndarray:
-        """Boolean mask of modes at or above ``LAMBDA_FLOOR``."""
-        return self.lambdas >= LAMBDA_FLOOR
 
 
 def _legendre_table(x, size: int) -> np.ndarray:
@@ -105,7 +99,7 @@ def _legendre_table(x, size: int) -> np.ndarray:
     return table
 
 
-def _legendre_modes(c: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_modes(c: float, n_modes: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients beta (rows n, sign-fixed) and lambda_n of modes 0..n_modes-1.
 
     mu_n follows from int phi_n = mu_n phi_n(0), or for odd n from
@@ -113,7 +107,6 @@ def _legendre_modes(c: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     identity mu_n <phi_{n+1}, phi_n'> = i c mu_{n+1} <phi_{n+1}, x phi_n>, whose
     bilinear forms in beta keep their relative accuracy down the tail.
     """
-    size = 2 * ((n_modes + math.ceil(c)) // 2 + 20)
     beta = np.zeros((n_modes, size))
     for parity in (0, 1):
         count = len(range(parity, n_modes, 2))
@@ -164,8 +157,7 @@ def _legendre_modes(c: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return beta, lam
 
 
-def build_basis(params: SlepianParams, n_max: int | None = None,
-                quad_order: int | None = None) -> ProlateBasis:
+def build_basis(params: SlepianParams, n_max: int | None = None) -> ProlateBasis:
     """Solve for the prolate modes of the window [-T, T] in the Legendre basis.
 
     Parameters
@@ -174,14 +166,14 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
         Window half-length T and Slepian frequency c.
     n_max : int or None
         Highest mode index to keep.  ``None`` keeps every mode whose
-        eigenvalue is at or above ``LAMBDA_FLOOR``, at most quad_order/4 of
-        them.
-    quad_order : int or None
-        Order of the window rule behind ``samples``; default
-        max(4*n_max, ceil(4c), 64).  Orders below the default are rejected.
+        eigenvalue is at or above ``LAMBDA_FLOOR``, at most
+        max(ceil(4c), 64) // 4 of them.
 
     Raises
     ------
+    ValueError
+        If n_max is negative, or the Legendre basis for c and n_max would
+        exceed ``MAX_LEGENDRE_SIZE`` terms; nothing is allocated then.
     EigensolverError
         If the automatic n_max finds no eigenvalue at or above the floor.
     """
@@ -190,30 +182,24 @@ def build_basis(params: SlepianParams, n_max: int | None = None,
     if n_max is not None and n_max < 0:
         raise ValueError("n_max must be >= 0")
 
-    c, T = params.c, params.T
-    min_order = default_quad_order(c, n_max if n_max is not None else 0)
-    if quad_order is None:
-        quad_order = min_order
-    elif quad_order < min_order:
-        raise ValueError(
-            f"quad_order {quad_order} below the required minimum {min_order} "
-            f"for c={c}, n_max={n_max}")
-
+    c = params.c
+    n_modes, size = _legendre_shape(c, n_max)
+    if size > MAX_LEGENDRE_SIZE:
+        raise ValueError(f"c={c}, n_max={n_max} needs {size} Legendre terms > MAX_LEGENDRE_SIZE")
+    beta, lam = _legendre_modes(c, n_modes, size)
     if n_max is None:
-        beta, lam = _legendre_modes(c, quad_order // 4)
         n_max = int(np.count_nonzero(lam >= LAMBDA_FLOOR)) - 1
         if n_max < 0:
             raise EigensolverError(
                 f"no eigenvalue reaches the floor {LAMBDA_FLOOR:.1e} at c={c}")
         beta, lam = beta[: n_max + 1].copy(), lam[: n_max + 1].copy()
-    else:
-        beta, lam = _legendre_modes(c, n_max + 1)
+    return ProlateBasis(params=params, n_max=n_max, lambdas=lam, _beta=beta)
 
-    nodes, weights = gauss_legendre(quad_order, -T, T)
-    samples = np.sqrt(lam / T)[:, None] * (beta @ _legendre_table(nodes / T, beta.shape[1]))
-    return ProlateBasis(params=params, n_max=n_max, quad_order=quad_order,
-                        nodes=nodes, weights=weights, lambdas=lam,
-                        samples=samples, _beta=beta)
+
+def _window_values(basis: ProlateBasis, t) -> np.ndarray:
+    """psi_n(t) = sqrt(lambda_n / T) phi_n(t / T) of every mode for |t| <= T, rows n."""
+    table = _legendre_table(np.asarray(t) / basis.params.T, basis._beta.shape[1])
+    return np.sqrt(basis.lambdas / basis.params.T)[:, None] * (basis._beta @ table)
 
 
 def _transforms(basis: ProlateBasis, freqs, indices=None) -> np.ndarray:

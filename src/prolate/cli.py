@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import io as pio
-from .basis import (build_basis, default_quad_order, eval_psi, lambda0_curve,
-                    plunge_index)
+from .basis import (MAX_LEGENDRE_SIZE, _legendre_shape, build_basis, eval_psi,
+                    lambda0_curve, plunge_index)
 from .errors import ProlateError, SingularFisherError
 from .hermite import HermiteGaussMode, hg_eval
 from .metrology import crb
@@ -149,7 +149,6 @@ class RunConfig:
                              help="Slepian frequency; repeat for several values")
     T: float = _field("--T", _ALL, _positive, 1.0, help="window half-length")
     n_max: int | None = _field("--n-max", tuple(_N_MAX_LEAST), _count)
-    quad_order: int | None = _field("--quad-order", _SUPERRES, _count)
     tau_values: tuple = _field("--tau", _SUPERRES, _positives, (), repeat=True,
                                help="pulse separation; repeat for several values")
     tau0: float = _field("--tau0", _SUPERRES, _number, 0.0, help="centroid")
@@ -209,6 +208,9 @@ def _read_config(path) -> dict:
         doc = doc.get("config", doc)
     if not isinstance(doc, dict):
         raise ConfigError(f"--config {path!r} is not a key-value document")
+    # manifests record the retired quad_order, as null unless it was set
+    if doc.pop("quad_order", None) is not None:
+        raise ConfigError(f"--config {path!r} sets the retired 'quad_order'; use --n-max")
     unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ConfigError(f"--config {path!r} has unknown keys {', '.join(map(repr, unknown))}")
@@ -240,16 +242,28 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.n_max is not None and cfg.n_max < _N_MAX_LEAST[cfg.command]:
         raise ConfigError(f"--n-max must be >= {_N_MAX_LEAST[cfg.command]} for "
                           f"{cfg.command}, got {cfg.n_max}")
+    c_top = max(cfg.c_values)  # the basis, and its size, grow with c
+    size = _legendre_shape(c_top, _n_max_at(cfg, c_top))[1]
+    if size > MAX_LEGENDRE_SIZE:
+        given = f"--c {c_top!r}" + ("" if cfg.n_max is None else f" with --n-max {cfg.n_max}")
+        raise ConfigError(f"{given} needs {size} Legendre terms, over {MAX_LEGENDRE_SIZE}")
     if cfg.out is None:
         cfg.out = f"{cfg.command.replace('-', '_')}.{cfg.format}"
     return cfg
 
 
+def _n_max_at(cfg: RunConfig, c: float):
+    """The n_max the command builds its basis with at c; None is the automatic rule."""
+    if cfg.n_max is not None or cfg.command == "superres":
+        return cfg.n_max
+    return {"spectrum": plunge_index(c) + 6, "hg-compare": max(4, plunge_index(c) + 2),
+            "lambda0": 0}[cfg.command]
+
+
 def run_spectrum(cfg: RunConfig):
     rows = []
     for c in cfg.c_values:
-        n_max = cfg.n_max if cfg.n_max is not None else plunge_index(c) + 6
-        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=n_max)
+        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=_n_max_at(cfg, c))
         for n, lam in enumerate(basis.lambdas):
             rows.append((c, n, float(lam)))
     return ("c", "n", "lambda"), rows
@@ -259,8 +273,7 @@ def run_hg_compare(cfg: RunConfig):
     t = np.array(grid_values(*cfg.t_grid))
     rows = []
     for c in cfg.c_values:
-        n_max = cfg.n_max if cfg.n_max is not None else max(4, plunge_index(c) + 2)
-        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=n_max)
+        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=_n_max_at(cfg, c))
         psi2 = eval_psi(basis, 2, t)
         hg2 = hg_eval(HermiteGaussMode(2, c), t / cfg.T) / math.sqrt(cfg.T)
         sup = float(np.max(np.abs(psi2 - hg2)))
@@ -278,11 +291,7 @@ def run_superres(cfg: RunConfig):
     design = design_from_sphere(*cfg.design, row2=cfg.design_row2)
     rows = []
     for c in cfg.c_values:
-        # --quad-order is raised to the minimum of the window rule for c and n_max
-        quad = cfg.quad_order
-        if quad is not None:
-            quad = max(quad, default_quad_order(c, cfg.n_max or 0))
-        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=cfg.n_max, quad_order=quad)
+        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=cfg.n_max)
         sigma = cfg.sigma if cfg.sigma is not None else cfg.T * default_psf_sigma(c)
         taus = cfg.tau_values or (sigma,)
         model0 = TwoPulseModel(GaussianPsf(sigma), tau=taus[0], tau0=cfg.tau0, nu=cfg.nu)

@@ -13,11 +13,10 @@ def basis_cache():
     """Memoized basis construction shared across the whole run."""
     cache = {}
 
-    def get(c, n_max=None, T=1.0, quad_order=None):
-        key = (c, n_max, T, quad_order)
+    def get(c, n_max=None, T=1.0):
+        key = (c, n_max, T)
         if key not in cache:
-            cache[key] = build_basis(SlepianParams(c=c, T=T), n_max=n_max,
-                                     quad_order=quad_order)
+            cache[key] = build_basis(SlepianParams(c=c, T=T), n_max=n_max)
         return cache[key]
 
     return get

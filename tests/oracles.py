@@ -3,7 +3,9 @@
 Each oracle re-derives its quantity through a route separate from the code it
 checks: a deliberately oversized kernel discretization, the frequency domain,
 a finer independent quadrature rule, a high-precision solve, or a closed
-form.  None of them import the functions they are used to validate.
+form.  None of them import the functions they are used to validate; the
+whole-line Gram oracle reads a basis's window values, and checks the band
+route of ``extension_matrix`` and ``project`` against them.
 """
 
 import functools
@@ -12,6 +14,8 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import linalg, special
+
+from prolate.basis import _window_values
 
 
 def dense_nystrom_lambdas(c, T=1.0, order=640, n_top=12):
@@ -164,36 +168,33 @@ def mp_prolate(c, n_modes):
 def whole_line_inner(basis, n, m, n_omega=None):
     """<psi_n, psi_m> over the real line, evaluated in the frequency domain.
 
-    The extension of psi_n is sum_j a_j K(., z_j); its transform is the band
-    indicator times sum_j a_j exp(-i w z_j), so Parseval turns the whole-line
-    integral into a finite smooth one that Gauss-Legendre nails.  No radius
-    truncation enters anywhere.
+    Same route as ``whole_line_gram``, for one pair of modes.
     """
-    om = basis.params.omega
-    if n_omega is None:
-        n_omega = max(64, math.ceil(3.0 * basis.params.c) + 48)
-    x, w = np.polynomial.legendre.leggauss(n_omega)
-    x = om * x
-    w = om * w
-    a_n = basis.weights * basis.samples[n] / basis.lambdas[n]
-    a_m = basis.weights * basis.samples[m] / basis.lambdas[m]
-    phases = np.exp(-1j * np.outer(x, basis.nodes))
-    fn = phases @ a_n
-    fm = phases @ a_m
-    return float(np.real(np.dot(w, fn * np.conj(fm))) / (2.0 * math.pi))
+    return float(whole_line_gram(basis, max(n, m) + 1, n_omega)[n, m])
 
 
 def whole_line_gram(basis, n_modes, n_omega=None):
-    """All pairwise real-line inner products at once (same route as above)."""
-    om = basis.params.omega
+    """All pairwise real-line inner products of psi_0..psi_{n_modes-1}.
+
+    The window identity lambda_n Psi_n(w) = int_{-T}^{T} psi_n(z) exp(-i w z) dz
+    gives each transform from the window values of psi_n, taken on this
+    oracle's own Gauss-Legendre rule of order max(64, ceil(4c), 4 n_modes);
+    Parseval then turns the whole-line integral into a finite smooth one over
+    the band.  No radius truncation enters anywhere.  Dividing by lambda_n
+    carries the rounding of the window values as about eps / sqrt(lambda_n).
+    """
+    c, T, om = basis.params.c, basis.params.T, basis.params.omega
     if n_omega is None:
-        n_omega = max(64, math.ceil(3.0 * basis.params.c) + 48)
+        n_omega = max(64, math.ceil(3.0 * c) + 48)
     x, w = np.polynomial.legendre.leggauss(n_omega)
     x = om * x
     w = om * w
-    alpha = (basis.weights * basis.samples[:n_modes]
+    z, v = np.polynomial.legendre.leggauss(max(64, math.ceil(4.0 * c), 4 * n_modes))
+    z = T * z
+    v = T * v
+    alpha = (v * _window_values(basis, z)[:n_modes]
              / basis.lambdas[:n_modes, None])
-    transforms = np.exp(-1j * np.outer(x, basis.nodes)) @ alpha.T
+    transforms = np.exp(-1j * np.outer(x, z)) @ alpha.T
     gram = transforms.conj().T @ (w[:, None] * transforms) / (2.0 * math.pi)
     return np.real(gram)
 

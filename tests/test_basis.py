@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from prolate import (GaussianPsf, SlepianParams, build_basis, default_psf_sigma,
-                     eval_psi, extension_matrix, lambda0_curve, plunge_index, project)
+from prolate import (LAMBDA_FLOOR, GaussianPsf, SlepianParams, build_basis,
+                     default_psf_sigma, eval_psi, extension_matrix, lambda0_curve,
+                     plunge_index, project)
+from prolate import basis as basis_module
+from prolate.basis import MAX_LEGENDRE_SIZE, _window_values
 from prolate.quadrature import gauss_legendre
 
 import oracles
@@ -31,13 +34,15 @@ class TestBuildBasis:
     def test_spectrum_decreasing_in_unit_interval(self, basis_cache):
         for c in (1.0, 2.7, 5.0):
             b = basis_cache(c)
-            lam = b.lambdas[b.extendable]
+            lam = b.lambdas[b.lambdas >= LAMBDA_FLOOR]
             assert np.all(np.diff(lam) < 0.0)
             assert np.all((lam > 0.0) & (lam < 1.0))
 
     def test_window_orthogonality(self, basis_cache):
         b = basis_cache(5.0, 8)
-        gram = (b.samples * b.weights) @ b.samples.T
+        nodes, weights = gauss_legendre(64, -1.0, 1.0)
+        psi = _window_values(b, nodes)
+        gram = (psi * weights) @ psi.T
         assert np.max(np.abs(gram - np.diag(b.lambdas))) < 1e-12
 
     def test_deep_tail_n_max_builds(self):
@@ -47,9 +52,18 @@ class TestBuildBasis:
         assert np.all(np.diff(b.lambdas) < 0.0) and b.lambdas[-1] > 0.0
         assert b.lambdas[-1] < 1e-90
 
-    def test_rejects_low_quad_order(self):
-        with pytest.raises(ValueError):
-            build_basis(SlepianParams(5.0), n_max=8, quad_order=16)
+    @pytest.mark.parametrize("c, n_max", [(5.0, 100_000), (5.0, 2004), (1500.0, None)])
+    def test_rejects_oversized_legendre_basis(self, monkeypatch, c, n_max):
+        # refused from c and n_max alone: the eigen solve is never reached.
+        # n_max = 2003 at c = 5 is the largest basis allowed, 2004 one too many
+        assert basis_module._legendre_shape(5.0, 2003)[1] == MAX_LEGENDRE_SIZE
+
+        def solve(*args):
+            raise AssertionError("_legendre_modes called")
+
+        monkeypatch.setattr(basis_module, "_legendre_modes", solve)
+        with pytest.raises(ValueError, match="MAX_LEGENDRE_SIZE"):
+            build_basis(SlepianParams(c), n_max=n_max)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -68,7 +82,7 @@ class TestEvalPsi:
         t = np.linspace(-3.0, 3.0, 61)
         for c in (1.0, 5.0, 10.0):
             b = basis_cache(c)
-            nodes_f, w_f = gauss_legendre(int(2.5 * b.quad_order), -1.0, 1.0)
+            nodes_f, w_f = gauss_legendre(160, -1.0, 1.0)
             for n in range(min(plunge_index(c) + 2, b.n_max) + 1):
                 psi_f = eval_psi(b, n, nodes_f)
                 lhs = sinc_kernel(t[:, None], nodes_f[None, :], b.params.omega) @ (w_f * psi_f)
@@ -100,18 +114,20 @@ class TestEvalPsi:
 
     def test_extension_reproduces_node_samples(self, basis_cache):
         b = basis_cache(5.0, 8)
-        vals = extension_matrix(b, b.nodes)
-        assert np.max(np.abs(vals - b.samples)) < 1e-9
+        nodes, _ = gauss_legendre(64, -1.0, 1.0)
+        vals = extension_matrix(b, nodes)
+        assert np.max(np.abs(vals - _window_values(b, nodes))) < 1e-9
 
     def test_subfloor_mode_evaluates(self):
         # lambda_8(c = 2) = 2.8e-14 sits below LAMBDA_FLOOR; its values come
         # from the band integral, which does not divide by lambda_8, and only
         # the window identity of project(bandlimited=True) refuses it
         b = build_basis(SlepianParams(2.0), n_max=8)
-        assert b.extendable[7] and not b.extendable[8]
+        assert b.lambdas[7] >= LAMBDA_FLOOR > b.lambdas[8]
         # the band integral is accurate to about eps relative to the unit norm
-        inside = eval_psi(b, 8, b.nodes)
-        assert np.max(np.abs(inside - b.samples[8])) < 1e-13
+        nodes, _ = gauss_legendre(64, -1.0, 1.0)
+        inside = eval_psi(b, 8, nodes)
+        assert np.max(np.abs(inside - _window_values(b, nodes)[8])) < 1e-13
         assert abs(eval_psi(b, 8, 2.5)) < 1.0
         with pytest.raises(ValueError):
             project(np.cos, b, bandlimited=True)
@@ -165,8 +181,9 @@ class TestHighPrecisionOracle:
         # lambda_8..lambda_11 run from 1.6e-7 down to 6.3e-13
         _, coeffs = oracles.mp_prolate(5.0, 36)
         b = build_basis(SlepianParams(5.0), n_max=11)
-        want = oracles.window_mode_values(coeffs[8:12], b.nodes)
-        got = b.samples[8:12] / np.sqrt(b.lambdas[8:12, None])
+        nodes, _ = gauss_legendre(64, -1.0, 1.0)
+        want = oracles.window_mode_values(coeffs[8:12], nodes)
+        got = _window_values(b, nodes)[8:12] / np.sqrt(b.lambdas[8:12, None])
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -189,7 +206,7 @@ class TestWholeLineOrthogonality:
         for n in range(n_modes):
             for m in range(n, n_modes):
                 val = oracles.whole_line_inner(b, n, m)
-                assert abs(val - (1.0 if n == m else 0.0)) < 1e-7
+                assert abs(val - (1.0 if n == m else 0.0)) < 6e-10
 
 
 class TestScaleInvariance:

@@ -10,8 +10,12 @@ import pytest
 
 import prolate
 from prolate import lambda0_curve
+from prolate import basis as basis_module
 from prolate.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, ConfigError,
-                         main, parse_grid)
+                         build_parser, main, parse_grid, resolve_config)
+
+# data files and manifests of each command, written before quad_order was retired
+RECORDED = Path(__file__).parent / "data" / "recorded"
 
 
 def read_rows(path):
@@ -64,18 +68,44 @@ def test_huge_grid_refused_before_building(tmp_path):
     assert not (tmp_path / "never.csv").exists()
 
 
-@pytest.mark.parametrize("argv, code", [(["lambda0", "--c-grid", "0.5:20:0.5"], EXIT_CONFIG),
-                                        (["superres", "--c", "5", "--tau", "0.3"], EXIT_OK)],
-                         ids=["lambda0", "superres"])
-def test_low_quad_order_raised_to_minimum(tmp_path, argv, code):
-    # only superres takes --quad-order, whose window rule caps its automatic n_max
-    low, default = tmp_path / "low.csv", tmp_path / "default.csv"
-    assert main(argv + ["--quad-order", "10", "--out", str(low)]) == code
-    if code == EXIT_OK:
-        assert main(argv + ["--out", str(default)]) == EXIT_OK
-        assert read_rows(low) == read_rows(default)
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_quad_order_refused(tmp_path, monkeypatch, capsys, source):
+    # its one effect was a cap on the automatic n_max, which --n-max sets
+    monkeypatch.chdir(tmp_path)
+    argv = ["superres", "--c", "5", "--tau", "0.3"]
+    if source == "flag":
+        argv += ["--quad-order", "400"]
+        message = "--quad-order"
     else:
-        assert not low.exists()
+        doc = json.loads((RECORDED / "superres.csv.manifest.json").read_text())
+        doc["config"]["quad_order"] = 400
+        Path("old.json").write_text(json.dumps(doc))
+        argv += ["--config", "old.json"]
+        message = "sets the retired 'quad_order'"
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and (source == "flag" or "--n-max" in err)
+    assert sorted(os.listdir(tmp_path)) == ([] if source == "flag" else ["old.json"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--c", "5", "--n-max", "100000"], "--c 5.0 with --n-max 100000 needs"),
+    (["hg-compare", "--c", "2", "--c", "1300"], "--c 1300.0 needs"),
+    (["lambda0", "--c", "3000"], "--c 3000.0 needs"),
+    (["superres", "--c", "1500", "--tau", "0.3"], "--c 1500.0 needs"),
+], ids=["spectrum-n-max", "hg-compare-c", "lambda0-c", "superres-c"])
+def test_oversized_basis_refused_before_solve(tmp_path, monkeypatch, capsys, argv, message):
+    def solve(*args):
+        raise AssertionError("_legendre_modes called")
+
+    monkeypatch.setattr(basis_module, "_legendre_modes", solve)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "Legendre terms, over 2048" in err
+    assert os.listdir(tmp_path) == []
+    # lambda0 builds one mode, so its limit on c sits higher than superres's
+    resolve_config(build_parser().parse_args(["lambda0", "--c", "1500"]))
 
 
 class TestSpectrum:
@@ -379,7 +409,7 @@ class TestDeterminismAndConfig:
         (["superres"], {"c_values": [5], "tau_values": 0.3}, "--tau must be a list of numbers"),
         (["superres"], [1, 2], "is not a key-value document"),
         (["superres", "--c", "5", "--tau", "0.3"], {"quad_order": 1e400},
-         "--quad-order must be an integer, got inf"),
+         "sets the retired 'quad_order'"),
         (["superres", "--c", "5", "--tau", "0.3"], {"design": [1, 2]}, "--design needs 4"),
         (["superres", "--c", "5", "--tau", "0.3"], {"n_max": 2.7},
          "--n-max must be an integer, got 2.7"),
@@ -418,19 +448,26 @@ class TestDeterminismAndConfig:
         assert main(["lambda0", "--config", "old.json"]) == EXIT_OK
         assert Path("b.csv").read_text().replace("b.csv", "a.csv") == Path("a.csv").read_text()
 
-    @pytest.mark.parametrize("command", ["spectrum", "lambda0", "hg-compare"])
-    def test_quad_order_only_for_superres(self, tmp_path, monkeypatch, capsys, command):
+    @pytest.mark.parametrize("command", ["spectrum", "lambda0", "hg-compare", "superres"])
+    def test_recorded_manifest_replays(self, tmp_path, monkeypatch, command):
+        # a manifest that recorded quad_order as null replays to its data rows;
+        # the new files leave the key out
+        manifest = RECORDED / f"{command.replace('-', '_')}.csv.manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert doc["config"]["quad_order"] is None
         monkeypatch.chdir(tmp_path)
-        assert main([command, "--c", "5", "--quad-order", "400"]) == EXIT_CONFIG
-        assert "--quad-order" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-        # a manifest that recorded quad_order still replays: it is superres's field
-        assert main([command, "--c", "5", "--out", "a.csv"]) == EXIT_OK
-        doc = json.loads(Path("a.csv.manifest.json").read_text())
-        doc["config"].update(quad_order=400, out="b.csv")
-        Path("old.json").write_text(json.dumps(doc))
-        assert main([command, "--config", "old.json"]) == EXIT_OK
-        assert Path("b.csv").read_text().replace("b.csv", "a.csv") == Path("a.csv").read_text()
+        assert main([command, "--config", str(manifest)]) == EXIT_OK
+        out = doc["config"]["out"]
+        (want_header, want), (header, got) = read_rows(RECORDED / out), read_rows(out)
+        assert header == want_header and len(got) == len(want)
+        for row, want_row in zip(got, want):
+            for x, y in zip(row, want_row, strict=True):
+                if y == "limited":
+                    assert x == y
+                else:
+                    assert float(x) == pytest.approx(float(y), rel=1e-9, abs=1e-300)
+        assert "quad_order" not in Path(out).read_text()
+        assert "quad_order" not in json.loads(Path(out + ".manifest.json").read_text())["config"]
 
     def test_design_text_in_file_same_as_flag(self, tmp_path, monkeypatch):
         # the default third row is not a valid measurement with this design

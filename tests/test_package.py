@@ -32,7 +32,20 @@ def test_traced_names_resolve():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     for module, name, _ in tracing.TRACED:
-        assert hasattr(importlib.import_module(module), name), (module, name)
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+    # install looks each name up as the traced run does, and wraps every
+    # namespace that imported it; uninstall puts the originals back
+    import prolate.cli
+    original = prolate.build_basis
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert prolate.build_basis is not original and prolate.cli.build_basis is not original
+        prolate.build_basis(prolate.SlepianParams(2.0))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["basis.build_basis.calls"] == 1
+    assert prolate.build_basis is original and prolate.cli.build_basis is original
 
 
 def test_runtime_needs_numpy_only(tmp_path):

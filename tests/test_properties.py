@@ -58,7 +58,7 @@ def test_whole_line_orthogonality_at_stretched_window():
     for n in range(6):
         for m in range(n, 6):
             val = oracles.whole_line_inner(basis, n, m)
-            assert abs(val - (1.0 if n == m else 0.0)) < 1e-7
+            assert abs(val - (1.0 if n == m else 0.0)) < 1e-11
 
 
 def test_povm_validate_direct():
