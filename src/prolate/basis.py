@@ -36,6 +36,10 @@ LAMBDA_FLOOR = 1e-13
 #: its dense solve peaks near 220 MB there (c = 5, n_max = 2003).  More are refused.
 MAX_LEGENDRE_SIZE = 2048
 
+#: Bytes of the largest table, band nodes or Legendre terms by times, that
+#: ``extension_matrix`` holds at once; 601 times fit under MAX_LEGENDRE_SIZE.
+_BLOCK_BYTES = 1 << 24
+
 _PHASES = np.array([1.0, -1j, -1.0, 1j])  # (-i)^n for n mod 4
 
 
@@ -219,6 +223,8 @@ def extension_matrix(basis: ProlateBasis, t, indices=None) -> np.ndarray:
     rule while Omega |t| <= K, the Legendre degree, and term by term beyond,
     sqrt(2 Omega / pi) sum_k i^(k - n) beta_nk sqrt(k + 1/2) j_k(Omega t), with
     the spherical Bessel functions j_k by upward recurrence, stable for k < Omega |t|.
+    The times are taken in blocks whose band-node or Bessel tables stay under
+    ``_BLOCK_BYTES``, so memory beyond the result does not grow with len(t).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n = np.atleast_1d(np.arange(basis.n_modes) if indices is None else np.asarray(indices, int))
@@ -226,6 +232,16 @@ def extension_matrix(basis: ProlateBasis, t, indices=None) -> np.ndarray:
     freqs, v = gauss_legendre(math.ceil(0.5 * (basis.params.c + size + basis.n_max)) + 48,
                               -omega, omega)
     psi_hat = _transforms(basis, freqs, n) * (v / (2.0 * math.pi))
+    width = max(1, _BLOCK_BYTES // (8 * max(freqs.size, size)))
+    out = np.empty((n.size, t.size))
+    for lo in range(0, t.size, width):
+        out[:, lo:lo + width] = _extension_block(basis, n, freqs, psi_hat, t[lo:lo + width])
+    return out
+
+
+def _extension_block(basis: ProlateBasis, n, freqs, psi_hat, t) -> np.ndarray:
+    """``extension_matrix`` over one block of times, from its band rule ``psi_hat``."""
+    omega, size = basis.params.omega, basis._beta.shape[1]
     near = omega * np.abs(t) <= size
     out = np.zeros((n.size, t.size))
     # Psi_n is real for even n and imaginary for odd n: one of cos and sin each

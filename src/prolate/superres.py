@@ -95,11 +95,15 @@ def _sampled_pulse(psf, tau0: float, basis: ProlateBasis):
     return transform
 
 
-def _probe(model: TwoPulseModel, basis: ProlateBasis, transform=None) -> ProbeState:
-    # ``transform`` passes the sampling already made for the same psf and tau0
-    if transform is None:
-        transform = _sampled_pulse(model.psf, model.tau0, basis)
-    modes = _pulse_rows(transform, (0.5 * model.tau, -0.5 * model.tau), 0)[:, 0]
+def _probe(model: TwoPulseModel, basis: ProlateBasis, sampled=None) -> ProbeState:
+    # ``sampled`` passes (s, transform of Psf(t - s)) already made for the same
+    # psf; the rows are its shifts by tau0 - s +/- tau/2, the very floats
+    # +/- tau/2 when tau0 == s
+    if sampled is None:
+        sampled = model.tau0, _sampled_pulse(model.psf, model.tau0, basis)
+    at, transform = sampled
+    d = model.tau0 - at
+    modes = _pulse_rows(transform, (d + 0.5 * model.tau, d - 0.5 * model.tau), 0)[:, 0]
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
                       modes=modes, params=basis.params)
 
@@ -318,7 +322,8 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
     there and the singularity is physical, not numerical.  A separation
     within one finite-difference step of 0, or an intensity ratio nu within
     one of 0 or 1, is refused too: the steps would leave the parameter range.
-    Every model is checked before the pulse is sampled.
+    Every model is checked before the pulse is sampled, once per call at
+    tau0: a step in tau0 becomes a phase of that one transform.
     """
     single = isinstance(model, TwoPulseModel)
     models = [model] if single else list(model)
@@ -359,16 +364,14 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
         def route(probe):
             return probabilities_truncated(probe, povm, basis.params.c)
 
-    # a probe is the shifts +/- tau/2 of one sampling of Psf(t - tau0), so the
-    # pulse is sampled once for each tau0 the steps reach: five in all, which
-    # serve every separation and every step in tau and nu
-    transforms = {}
+    # every probe is a shift of one sampling of Psf(t - tau0): a step in tau0
+    # only adds its offset to the shifts +/- tau/2, so this one sampling serves
+    # every separation and every step
+    sampled = first.tau0, _sampled_pulse(first.psf, first.tau0, basis)
 
     def prob_model(theta):
         m = replace(first, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
-        if m.tau0 not in transforms:
-            transforms[m.tau0] = _sampled_pulse(m.psf, m.tau0, basis)
-        return route(_probe(m, basis, transforms[m.tau0]))
+        return route(_probe(m, basis, sampled))
 
     fishers = [fisher_matrix(prob_model, m.theta, labels=("tau", "tau0", "nu"))
                for m in models]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,35 @@ class TestEvalPsi:
         psi_hat *= (om * w / (2.0 * math.pi))[:, None]
         want = (psi_hat.T @ np.exp(1j * om * np.outer(x, t))).real
         assert np.max(np.abs(extension_matrix(b, t) - want)) < 1e-11
+
+    @pytest.mark.parametrize("c", [0.5, 5.0, 20.0, 45.0])
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 200 * 7, 8 * 1000 * 64])
+    def test_blocked_times_match_one_block(self, monkeypatch, c, block_bytes):
+        # near and far times split across blocks of 1 to about 600 times;
+        # the products differ from the one-block run only in the matmul's
+        # rounding, measured at most 8.4e-16 of the largest value
+        b = build_basis(SlepianParams(c))
+        t = np.concatenate([np.linspace(-3.0, 3.0, 601), np.linspace(-80.0, 80.0, 1001)])
+        one = extension_matrix(b, t)
+        monkeypatch.setattr(basis_module, "_BLOCK_BYTES", block_bytes)
+        blocked = extension_matrix(b, t)
+        assert blocked.shape == one.shape
+        assert np.max(np.abs(blocked - one)) <= 1e-14 * np.max(np.abs(one))
+
+    def test_long_grid_memory_is_bounded(self):
+        # hg-compare --c 20 --t-grid=-3:3:1e-5: one block would hold two
+        # 104 x 600001 tables of 476 MiB; blocked it peaked at 37.6 MiB
+        b = build_basis(SlepianParams(20.0), n_max=max(4, plunge_index(20.0) + 2))
+        t = np.linspace(-3.0, 3.0, 600001)
+        tracemalloc.start()
+        try:
+            vals = eval_psi(b, 2, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        step = 1000  # every 1000th time, one block
+        assert np.max(np.abs(vals[::step] - eval_psi(b, 2, t[::step]))) <= 1e-14
 
     @pytest.mark.parametrize("c", [5.0, 20.0, 25.0, 50.0, 100.0])
     def test_parity_residual_through_the_cluster(self, c):

@@ -26,7 +26,7 @@ def sech_pulse(w):
     return lambda t: 1.0 / (np.cosh(np.asarray(t, dtype=float) / w) * math.sqrt(2.0 * w))
 
 
-def time_domain_probe(model, basis, transform=None):
+def time_domain_probe(model, basis, sampled=None):
     """The probe without the band route: a rule per shifted pulse, extended onto its nodes."""
     T = basis.params.T
     rows = []
@@ -97,8 +97,8 @@ def _fisher_inputs(c, psf):
 
 
 def test_superres_fisher_checks_pulse_norm_once(monkeypatch):
-    # the norm comes with each sampling: 5 distinct tau0, one rule each, and
-    # no rule of its own
+    # the norm comes with the one sampling at tau0, which every step shares,
+    # and takes no rule of its own
     rules = Counter()
     original = bandlimited.real_line_rule
 
@@ -113,7 +113,7 @@ def test_superres_fisher_checks_pulse_norm_once(monkeypatch):
     rules.clear()
     tau_floor = 1e-4 * default_psf_sigma(c)
     superres_fisher(model, povm, basis, "limited", tau_floor=tau_floor)
-    assert rules["rule"] == 5
+    assert rules["rule"] == 1
 
     unnormalized = replace(model, psf=PlainGaussian(default_psf_sigma(c), scale=1.5))
     with pytest.raises(ValueError, match="not unit-norm"):
