@@ -7,13 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import LAMBDA_FLOOR, ProlateBasis, _transforms, _window_values, extension_matrix
+from .basis import LAMBDA_FLOOR, ProlateBasis, _transforms, _window_values
 from .errors import QuadratureError
 from .params import SlepianParams
 from .quadrature import gauss_legendre, real_line_rule
-
-#: energy-tail share at which band_energy_fraction stops growing its domain
-ENERGY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -30,11 +27,6 @@ class BandlimitedFunction:
     def energy(self) -> float:
         """Whole-line energy of the represented function (Parseval)."""
         return float(np.dot(self.coeffs, self.coeffs))
-
-
-def _require_same_params(a: SlepianParams, b: SlepianParams) -> None:
-    if a != b:
-        raise ValueError(f"basis parameter mismatch: {a} vs {b}")
 
 
 def project(f, basis: ProlateBasis, *, bandlimited: bool = False) -> BandlimitedFunction:
@@ -141,61 +133,3 @@ def _band_blocks(basis: ProlateBasis, order: int):
             a.flags.writeable = False
         basis._band_blocks[order] = blocks = freqs, band, ref
     return blocks
-
-
-def synthesize(g: BandlimitedFunction, basis: ProlateBasis, t):
-    """Evaluate sum_n g_n psi_n(t) for scalar or array t."""
-    _require_same_params(g.params, basis.params)
-    t_arr = np.asarray(t, dtype=float)
-    psi = extension_matrix(basis, t_arr.ravel(), np.arange(g.coeffs.size))
-    vals = g.coeffs @ psi
-    if t_arr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(t_arr.shape)
-
-
-def band_energy_fraction(f, omega: float, *, basis: ProlateBasis | None = None) -> float:
-    """Fraction of spectral energy of ``f`` inside the band [-omega, omega].
-
-    Two input forms are supported:
-
-    * a BandlimitedFunction (``basis`` required): its transform is known in
-      closed form on the basis band, so the fraction is a finite smooth
-      frequency integral against the exact Parseval energy of the
-      coefficients -- no real-line truncation enters at all;
-    * a generic callable: the transform is taken by quadrature over a domain
-      grown in panels of width T (1 without a basis) until the truncated
-      energy tail is below ``ENERGY_TOL`` of the total; a QuadratureError
-      reports the achieved tolerance when the cap of
-      ``quadrature.RADIUS_CAP`` panels cannot meet the budget.
-    """
-    if not (omega > 0.0):
-        raise ValueError("omega must be positive")
-
-    if isinstance(f, BandlimitedFunction):
-        if basis is None:
-            raise ValueError("basis is required to evaluate a BandlimitedFunction")
-        _require_same_params(f.params, basis.params)
-        band = min(omega, basis.params.omega)
-        x, w = gauss_legendre(max(96, math.ceil(3.0 * basis.params.c) + 32), -band, band)
-        transform = f.coeffs @ _transforms(basis, x, np.arange(f.coeffs.size))
-        e_in = float(np.dot(w, np.abs(transform) ** 2)) / (2.0 * math.pi)
-        e_tot = f.energy()
-        if e_tot <= 0.0:
-            return 0.0
-        return float(min(max(e_in / e_tot, 0.0), 1.0))
-
-    core = basis.params.T if basis else 1.0
-    rule = real_line_rule(f, core, max_freq=2.0 * omega + 16.0 / core,
-                          rel_tol=math.sqrt(ENERGY_TOL))
-    if rule.total_energy <= 0.0:
-        return 0.0
-    if not rule.converged:
-        raise QuadratureError(
-            "time-domain energy tail still above budget at the radius cap",
-            achieved=rule.tail_energy / rule.total_energy)
-    nw = max(96, math.ceil(0.8 * omega * rule.radius) + 32)
-    x, w = gauss_legendre(nw, -omega, omega)
-    transform = np.exp(-1j * np.outer(x, rule.nodes)) @ (rule.weights * rule.values)
-    e_in = float(np.dot(w, np.abs(transform) ** 2)) / (2.0 * math.pi)
-    return float(min(max(e_in / rule.total_energy, 0.0), 1.0))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,27 +72,36 @@ class PovmElement:
 
 @dataclass(frozen=True)
 class Povm:
-    """Monitored elements 0..d-1; the leakage element d is implicit."""
+    """Monitored elements 0..d-1; the leakage element d is implicit.
+
+    Every element's vectors are stacked once, zero-padded to the widest, into
+    one matrix with an element index and a weight per row.
+    """
 
     elements: tuple
     params: SlepianParams | None = None
+    _stack: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("POVM needs at least one monitored element")
+        m = max(el.vectors.shape[1] for el in self.elements)
+        index = np.repeat(np.arange(len(self.elements)),
+                          [el.weights.size for el in self.elements])
+        weights = np.concatenate([el.weights for el in self.elements])
+        vectors = np.vstack([_pad_cols(el.vectors, m) for el in self.elements])
+        for a in (index, weights, vectors):
+            a.flags.writeable = False
+        object.__setattr__(self, "_stack", (index, weights, vectors))
 
     def coefficient_length(self) -> int:
-        return max(el.vectors.shape[1] for el in self.elements)
+        return self._stack[2].shape[1]
 
     def completeness_operator(self) -> np.ndarray:
         """Matrix of sum_i Pi_i on the spanned coefficient space."""
-        m = self.coefficient_length()
-        op = np.zeros((m, m))
-        for el in self.elements:
-            v = _pad_cols(el.vectors, m)
-            op += (el.weights[:, None] * v).T @ v
-        return op
+        _, weights, vectors = self._stack
+        return (weights[:, None] * vectors).T @ vectors
 
     def validate(self) -> float:
         """Check that the leakage complement stays positive; returns top eigenvalue."""
@@ -110,12 +119,37 @@ def _pad_cols(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _check_shared_params(probe: ProbeState, povm: Povm) -> None:
-    if probe.params is not None and povm.params is not None and probe.params != povm.params:
-        raise ValueError(f"probe/POVM parameter mismatch: {probe.params} vs {povm.params}")
+def _check_shared_params(a: SlepianParams | None, b: SlepianParams | None) -> None:
+    if a is not None and b is not None and a != b:
+        raise ValueError(f"probe/POVM parameter mismatch: {a} vs {b}")
 
 
-def _finish(p_click: np.ndarray) -> np.ndarray:
+def _column_weight(w: np.ndarray, m: int) -> np.ndarray:
+    """The first m entries of a per-column weight such as lambda_n."""
+    if w.size < m:
+        raise ValueError(f"basis supplies {w.size} eigenvalues but "
+                         f"coefficients run to index {m - 1}")
+    return w[:m]
+
+
+def _probabilities(modes: np.ndarray, rho: np.ndarray, povm: Povm, w=None) -> np.ndarray:
+    """Outcome probabilities p_0..p_d of probe rows Psi_kn with weights rho_k.
+
+    p_i = sum_{k,l} rho_k Pi_il (sum_n pi_iln w_n Psi_kn)^2 for the monitored
+    elements, and the leakage entry closes the distribution to 1.  The
+    column weight w picks the regime: None for unlimited time, lambda_n for
+    band plus window, 1 up to the plunge index and 0 above for the truncated
+    sums.  Each vector's amplitudes are one (1, m) @ (m, k) product, which
+    rounds as the product of that vector alone.
+    """
+    index, weights, vectors = povm._stack
+    m = max(modes.shape[1], vectors.shape[1])
+    psi = _pad_cols(modes, m)
+    if w is not None:
+        psi = psi * _column_weight(w, m)
+    amp = (_pad_cols(vectors, m)[:, None, :] @ psi.T)[:, 0]  # (vectors, k)
+    terms = (weights[:, None] * rho[None, :] * amp * amp).sum(axis=1)
+    p_click = np.bincount(index, terms, minlength=len(povm.elements))
     if np.any(p_click < -PROB_SLACK) or np.any(p_click > 1.0 + PROB_SLACK):
         raise PovmValidityError(
             f"monitored probability outside [0, 1]: {p_click.min()!r}..{p_click.max()!r}")
@@ -123,30 +157,12 @@ def _finish(p_click: np.ndarray) -> np.ndarray:
     if leak < -PROB_SLACK:
         raise PovmValidityError(
             f"monitored probabilities sum to {p_click.sum()!r} > 1; POVM is over-complete")
-    p = np.append(np.clip(p_click, 0.0, 1.0), max(leak, 0.0))
-    return p
+    return np.append(np.clip(p_click, 0.0, 1.0), max(leak, 0.0))
 
 
-def _click_probabilities(probe: ProbeState, povm: Povm, probe_scale=None,
-                         n_cut: int | None = None) -> np.ndarray:
-    m = max(probe.modes.shape[1], povm.coefficient_length())
-    psi = _pad_cols(probe.modes, m)
-    if probe_scale is not None:
-        scale = np.asarray(probe_scale, dtype=float)
-        if scale.size < m:
-            raise ValueError(f"basis supplies {scale.size} eigenvalues but "
-                             f"coefficients run to index {m - 1}")
-        psi = psi * scale[:m]
-    if n_cut is not None:
-        psi = psi[:, : n_cut + 1]
-    out = np.empty(len(povm.elements))
-    for i, el in enumerate(povm.elements):
-        v = _pad_cols(el.vectors, m)
-        if n_cut is not None:
-            v = v[:, : n_cut + 1]
-        amp = v @ psi.T  # (L, k)
-        out[i] = float(np.sum(el.weights[:, None] * probe.weights[None, :] * amp * amp))
-    return out
+def _plunge_weight(c: float, m: int) -> np.ndarray:
+    """Column weight of the truncated sums: 1 up to ceil(2c/pi), 0 above."""
+    return (np.arange(m) <= plunge_index(c)).astype(float)
 
 
 def probabilities_ideal(probe: ProbeState, povm: Povm) -> np.ndarray:
@@ -155,8 +171,8 @@ def probabilities_ideal(probe: ProbeState, povm: Povm) -> np.ndarray:
     p_i = sum_{k,l} rho_k Pi_il |sum_n pi_iln Psi_kn|^2 for the monitored
     elements; the leakage entry closes the distribution to 1.
     """
-    _check_shared_params(probe, povm)
-    return _finish(_click_probabilities(probe, povm))
+    _check_shared_params(probe.params, povm.params)
+    return _probabilities(probe.modes, probe.weights, povm)
 
 
 def probabilities_limited(probe: ProbeState, povm: Povm, basis: ProlateBasis) -> np.ndarray:
@@ -166,10 +182,10 @@ def probabilities_limited(probe: ProbeState, povm: Povm, basis: ProlateBasis) ->
     concentration eigenvalue lambda_n; the leakage element absorbs whatever
     the finite window fails to capture.
     """
-    _check_shared_params(probe, povm)
+    _check_shared_params(probe.params, povm.params)
     if probe.params is not None and probe.params != basis.params:
         raise ValueError("probe expressed over different basis parameters")
-    return _finish(_click_probabilities(probe, povm, probe_scale=basis.lambdas))
+    return _probabilities(probe.modes, probe.weights, povm, basis.lambdas)
 
 
 def probabilities_truncated(probe: ProbeState, povm: Povm, c: float) -> np.ndarray:
@@ -178,8 +194,9 @@ def probabilities_truncated(probe: ProbeState, povm: Povm, c: float) -> np.ndarr
     Faithful to the limited probabilities once the spectrum has plunged:
     coefficients above the plunge index contribute nothing.
     """
-    _check_shared_params(probe, povm)
-    return _finish(_click_probabilities(probe, povm, n_cut=plunge_index(c)))
+    _check_shared_params(probe.params, povm.params)
+    m = max(probe.modes.shape[1], povm.coefficient_length())
+    return _probabilities(probe.modes, probe.weights, povm, _plunge_weight(c, m))
 
 
 def time_limit_povm(povm: Povm, basis: ProlateBasis) -> Povm:
@@ -193,15 +210,10 @@ def time_limit_povm(povm: Povm, basis: ProlateBasis) -> Povm:
     """
     if povm.params is not None and povm.params != basis.params:
         raise ValueError("POVM expressed over different basis parameters")
-    lam = basis.lambdas
-    elements = []
-    for el in povm.elements:
-        m = el.vectors.shape[1]
-        if lam.size < m:
-            raise ValueError(f"basis supplies {lam.size} eigenvalues but "
-                             f"coefficients run to index {m - 1}")
-        elements.append(PovmElement(el.weights, el.vectors * lam[:m]))
-    return Povm(tuple(elements), params=povm.params)
+    lam = _column_weight(basis.lambdas, povm.coefficient_length())
+    elements = tuple(PovmElement(el.weights, el.vectors * lam[: el.vectors.shape[1]])
+                     for el in povm.elements)
+    return Povm(elements, params=povm.params)
 
 
 @dataclass(frozen=True)

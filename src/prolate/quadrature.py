@@ -10,6 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _ENERGY_FLOOR = 1e-300
+#: the rule stops growing once the outermost panel pair holds below
+#: _REL_TOL^2 of the energy
+_REL_TOL = 1e-11
 #: the real-line rule stops growing at this many core radii
 RADIUS_CAP = 20.0
 
@@ -61,17 +64,14 @@ class RealLineRule:
     panel_order: int
     panels: tuple
 
-    def integral(self) -> float:
-        return float(np.dot(self.weights, self.values))
 
-
-def real_line_rule(f, core_radius: float, *, max_freq: float | None = None,
-                   rel_tol: float = 1e-11) -> RealLineRule:
+def real_line_rule(f, core_radius: float, *, max_freq: float) -> RealLineRule:
     """Grow a symmetric panel rule until the energy tail of ``f`` is negligible.
 
     Panels of width ``core_radius`` are appended on both sides of
     [-core_radius, core_radius] until the energy (sum of w*f^2) contributed by
-    the outermost pair falls below rel_tol^2 times the accumulated energy.
+    the outermost pair falls below ``_REL_TOL``^2 times the accumulated energy.
+    ``max_freq`` is the highest angular frequency the panels must resolve.
     The radius is capped at ``RADIUS_CAP`` core radii; hitting the cap is
     reported through ``converged`` and left to the caller to enforce.
     """
@@ -79,8 +79,6 @@ def real_line_rule(f, core_radius: float, *, max_freq: float | None = None,
         raise ValueError("core_radius must be positive")
     R = float(core_radius)
     cap = RADIUS_CAP * R
-    if max_freq is None:
-        max_freq = 2.0 * math.pi / R
     order = panel_order_for(max_freq, R)
     x, w = _reference_rule(order)
     x1 = x + 1.0
@@ -106,7 +104,7 @@ def real_line_rule(f, core_radius: float, *, max_freq: float | None = None,
     marginal = math.inf
     converged = False
     while True:
-        threshold = rel_tol * rel_tol * max(total, _ENERGY_FLOOR)
+        threshold = _REL_TOL * _REL_TOL * max(total, _ENERGY_FLOOR)
         if marginal < threshold:
             converged = True
             break

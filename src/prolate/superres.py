@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .basis import ProlateBasis
 from .bandlimited import _pulse_rows, _pulse_transform
 from .errors import IdentifiabilityError, PovmValidityError, RankDeficiencyError
-from .metrology import (POVM_SLACK, FisherMatrix, Povm, PovmElement, ProbeState,
-                        _default_steps, fisher_matrix, probabilities_ideal,
-                        probabilities_limited, probabilities_truncated)
+from .metrology import (POVM_SLACK, Povm, PovmElement, ProbeState, _check_shared_params,
+                        _column_weight, _default_steps, _plunge_weight, _probabilities,
+                        fisher_matrix)
 from .params import SlepianParams
 
 REGIMES = ("ideal", "limited", "truncated")
@@ -201,13 +202,6 @@ class MeasurementDesign:
             raise ValueError(f"design matrix must be 3x4, got {c.shape}")
         object.__setattr__(self, "C", c)
 
-    def meets_optimal_conditions(self) -> bool:
-        """Zero pattern required of the quantum-optimal alignment, to 1e-12."""
-        c, tol = self.C, 1e-12
-        zeros_ok = abs(c[0, 0]) <= tol and abs(c[1, 0]) <= tol
-        nonzero_ok = all(abs(x) > tol for x in (c[0, 1], c[1, 1], c[0, 2], c[1, 2]))
-        return zeros_ok and nonzero_ok
-
 
 def design_from_sphere(r1: float, phi1: float, r2: float, phi2: float, *,
                        row2=(0.0, 0.0, 0.0, 0.0)) -> MeasurementDesign:
@@ -275,10 +269,7 @@ def _phi_and_lambdas(dbasis: DerivativeBasis, basis: ProlateBasis):
     phi = dbasis.require_phi()
     if dbasis.params != basis.params:
         raise ValueError("derivative modes built over different basis parameters")
-    m = phi.shape[1]
-    if basis.lambdas.size < m:
-        raise ValueError("basis supplies fewer eigenvalues than coefficient columns")
-    return phi, basis.lambdas[:m]
+    return phi, _column_weight(basis.lambdas, phi.shape[1])
 
 
 def time_limited_design(design: MeasurementDesign, dbasis: DerivativeBasis,
@@ -315,11 +306,12 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
     ``model`` is one TwoPulseModel, or a sequence of models that share psf,
     tau0 and nu, such as several separations at one centroid; a sequence
     gives a list with one FisherMatrix per model, each equal to the call for
-    that model alone.  ``regime`` selects how outcome probabilities are
-    computed: "ideal", "limited" (band + window) or "truncated" (coefficient
-    sums cut at the plunge index).  Separations below ``tau_floor`` (default
-    1e-4 sigma for Gaussian pulses) are refused: the parameters degenerate
-    there and the singularity is physical, not numerical.  A separation
+    that model alone.  ``regime`` selects the weight on the probe's
+    coefficient columns: none for "ideal", lambda_n for "limited" (band +
+    window), 1 up to the plunge index and 0 above for "truncated".
+    Separations below ``tau_floor`` (default 1e-4 sigma for Gaussian pulses)
+    are refused: the parameters degenerate there and the singularity is
+    physical, not numerical.  A separation
     within one finite-difference step of 0, or an intensity ratio nu within
     one of 0 or 1, is refused too: the steps would leave the parameter range.
     Every model is checked before the pulse is sampled, once per call at
@@ -354,25 +346,22 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
             raise IdentifiabilityError(
                 f"intensity ratio nu = {m.nu!r} within the Fisher step {nu_step!r} "
                 f"of 0 or 1; the steps in nu would leave [0, 1]")
-    if regime == "ideal":
-        def route(probe):
-            return probabilities_ideal(probe, povm)
-    elif regime == "limited":
-        def route(probe):
-            return probabilities_limited(probe, povm, basis)
-    else:
-        def route(probe):
-            return probabilities_truncated(probe, povm, basis.params.c)
-
+    _check_shared_params(basis.params, povm.params)
+    width = max(basis.n_modes, povm.coefficient_length())  # a probe row spans the basis
+    w = {"ideal": None, "limited": basis.lambdas,
+         "truncated": _plunge_weight(basis.params.c, width)}[regime]
     # every probe is a shift of one sampling of Psf(t - tau0): a step in tau0
     # only adds its offset to the shifts +/- tau/2, so this one sampling serves
     # every separation and every step
     sampled = first.tau0, _sampled_pulse(first.psf, first.tau0, basis)
-
-    def prob_model(theta):
-        m = replace(first, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
-        return route(_probe(m, basis, sampled))
-
+    prob_model = partial(_stencil_probabilities, first, basis, sampled, povm, w)
     fishers = [fisher_matrix(prob_model, m.theta, labels=("tau", "tau0", "nu"))
                for m in models]
     return fishers[0] if single else fishers
+
+
+def _stencil_probabilities(model, basis, sampled, povm, w, theta):
+    # the probabilities at one Fisher stencil point theta = (tau, tau0, nu)
+    at = replace(model, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
+    probe = _probe(at, basis, sampled)
+    return _probabilities(probe.modes, probe.weights, povm, w)

@@ -299,3 +299,31 @@ def gaussian_second_derivative(t, sigma):
 def gaussian_overlap(tau, sigma):
     """<Psf(.-tau/2), Psf(.+tau/2)> for the unit-norm Gaussian, closed form."""
     return math.exp(-tau * tau / (8.0 * sigma * sigma))
+
+
+def per_element_probabilities(probe, povm, scale=None, n_cut=None):
+    """Outcome probabilities p_0..p_d one POVM element at a time.
+
+    The regime-forked formula: the probe rows are padded to the widest
+    coefficient vector, scaled by ``scale`` (lambda_n for band plus window)
+    or cut after column ``n_cut`` (the plunge index), and each element's
+    squared amplitudes are summed from its own product.  The leakage entry
+    closes the distribution to 1.
+    """
+    def pad(a, m):
+        return a if a.shape[1] == m else np.hstack([a, np.zeros((a.shape[0], m - a.shape[1]))])
+
+    m = max(probe.modes.shape[1], *(el.vectors.shape[1] for el in povm.elements))
+    psi = pad(probe.modes, m)
+    if scale is not None:
+        psi = psi * scale[:m]
+    if n_cut is not None:
+        psi = psi[:, : n_cut + 1]
+    out = np.empty(len(povm.elements))
+    for i, el in enumerate(povm.elements):
+        v = pad(el.vectors, m)
+        if n_cut is not None:
+            v = v[:, : n_cut + 1]
+        amp = v @ psi.T
+        out[i] = float(np.sum(el.weights[:, None] * probe.weights[None, :] * amp * amp))
+    return np.append(np.clip(out, 0.0, 1.0), max(1.0 - out.sum(), 0.0))

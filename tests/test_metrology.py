@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from prolate import (FisherMatrix, Povm, PovmElement, ProbeState,
+from prolate import (FisherMatrix, GaussianPsf, Povm, PovmElement, ProbeState,
                      PovmValidityError, SingularFisherError, SlepianParams,
-                     build_basis, crb, fisher_matrix, plunge_index,
-                     probabilities_ideal, probabilities_limited,
-                     probabilities_truncated, time_limit_povm)
+                     TwoPulseModel, build_basis, crb, default_psf_sigma,
+                     design_from_sphere, fisher_matrix, gamma_modes, gram_schmidt,
+                     optimal_povm, plunge_index, probabilities_ideal,
+                     probabilities_limited, probabilities_truncated,
+                     probe_from_model, time_limit_povm)
 
 import oracles
 
@@ -142,6 +146,79 @@ class TestProbabilitiesTruncated:
         lim = probabilities_limited(probe, povm, b)
         tru = probabilities_truncated(probe, povm, c)
         assert np.max(np.abs(lim - tru)) < 2e-3  # gap set by 1 - lambda_n(10)^2
+
+
+def close_to_reference(got, want, rel):
+    return np.max(np.abs(got - want)) <= rel * np.max(want)
+
+
+class TestProbabilityKernel:
+    """The three regimes as one column weight, against the per-element formula
+    of ``oracles.per_element_probabilities``."""
+
+    @pytest.mark.parametrize("c", [1.2, 5.0, 20.0, 45.0])
+    def test_rank_one_bit_identical(self, c):
+        basis = build_basis(SlepianParams(c))
+        sigma = default_psf_sigma(c)
+        model = TwoPulseModel(GaussianPsf(sigma), tau=sigma, tau0=0.05, nu=0.4)
+        design = design_from_sphere(0.7, math.pi / 3.0, 0.7, math.pi / 3.0 - 1.2,
+                                    row2=(0.55, 0.55, 0.0, 0.0))
+        cases = [(probe_from_model(model, basis),
+                  optimal_povm(design, gram_schmidt(gamma_modes(model, basis))))]
+        rng = np.random.default_rng(17)
+        cases += [random_probe_povm(rng, m=basis.n_modes, k=k, d=3, L=1)
+                  for k in (1, 2, 3, 9) for _ in range(10)]
+        for probe, povm in cases:
+            assert np.array_equal(probabilities_ideal(probe, povm),
+                                  oracles.per_element_probabilities(probe, povm))
+            assert np.array_equal(probabilities_limited(probe, povm, basis),
+                                  oracles.per_element_probabilities(probe, povm,
+                                                                    scale=basis.lambdas))
+
+    def test_multi_vector_elements_and_padding(self, b5):
+        # summed in another order than one element at a time; measured at
+        # most 2.6e-16 of the largest probability over c in {1.2, 5, 20, 45}
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            multi = random_probe_povm(rng, k=3, d=3, L=3)
+            probe, _ = random_probe_povm(rng)
+            _, narrow = random_probe_povm(rng, m=4, L=2)
+            for pr, povm in (multi, (probe, narrow)):
+                assert close_to_reference(probabilities_ideal(pr, povm),
+                                          oracles.per_element_probabilities(pr, povm), 1e-15)
+                assert close_to_reference(
+                    probabilities_limited(pr, povm, b5),
+                    oracles.per_element_probabilities(pr, povm, scale=b5.lambdas), 1e-15)
+
+    @pytest.mark.parametrize("c", [1.2, 5.0, 20.0, 45.0])
+    def test_truncated_against_sliced_sums(self, c):
+        # zero weights above the plunge index in place of sliced sums: the
+        # products add exact zeros, in another order; measured at most 1.2e-16
+        # of the largest probability
+        rng = np.random.default_rng(29)
+        m = build_basis(SlepianParams(c)).n_modes
+        for _ in range(40):
+            probe, povm = random_probe_povm(rng, m=m, k=2, d=3, L=1)
+            want = oracles.per_element_probabilities(probe, povm, n_cut=plunge_index(c))
+            assert close_to_reference(probabilities_truncated(probe, povm, c), want, 1e-15)
+
+    def test_too_few_eigenvalues_rejected(self, b5):
+        probe = ProbeState([1.0], [unit(0, m=12)])
+        with pytest.raises(ValueError, match="supplies 9 eigenvalues"):
+            probabilities_limited(probe, projector_povm(0), b5)
+        with pytest.raises(ValueError, match="supplies 9 eigenvalues"):
+            time_limit_povm(projector_povm(0, m=12), b5)
+
+    def test_stacked_vectors_are_private_state(self):
+        elements = (PovmElement([0.5, 0.25], [unit(0, m=4), unit(1, m=4)]),
+                    PovmElement([1.0], [unit(2, m=3)]))
+        povm = Povm(elements)
+        index, weights, vectors = povm._stack
+        assert index.tolist() == [0, 0, 1] and weights.tolist() == [0.5, 0.25, 1.0]
+        assert vectors.shape == (3, 4) and povm.coefficient_length() == 4
+        assert "_stack" not in repr(povm) and povm == Povm(elements)
+        with pytest.raises(ValueError):
+            vectors[0, 0] = 2.0
 
 
 class TestTimeLimitPovm:
