@@ -7,7 +7,7 @@ and quantifies how those limits cap the efficiency of the two-pulse
 superresolution measurement.
 """
 
-from .bandlimited import BandlimitedFunction, project
+from .bandlimited import project
 from .basis import (LAMBDA_FLOOR, ProlateBasis, build_basis, eval_psi,
                     extension_matrix, lambda0_curve, plunge_index)
 from .errors import (EigensolverError, IdentifiabilityError,
@@ -27,7 +27,7 @@ from .superres import (DerivativeBasis, GaussianPsf, MeasurementDesign,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandlimitedFunction", "project",
+    "project",
     "LAMBDA_FLOOR", "ProlateBasis", "build_basis", "eval_psi",
     "extension_matrix", "lambda0_curve", "plunge_index",
     "EigensolverError", "IdentifiabilityError",

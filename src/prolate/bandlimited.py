@@ -1,96 +1,50 @@
-"""Bandlimited functions as coefficient vectors in the prolate basis."""
+"""Prolate coefficients of functions of time, from one sampling on the real line."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import LAMBDA_FLOOR, ProlateBasis, _transforms, _window_values
+from .basis import ProlateBasis, _transforms
 from .errors import QuadratureError
-from .params import SlepianParams
 from .quadrature import gauss_legendre, real_line_rule
 
 
-@dataclass(frozen=True)
-class BandlimitedFunction:
-    """Expansion coefficients f_n of a function over psi_0..psi_n_max."""
+def project(f, basis: ProlateBasis) -> np.ndarray:
+    """Coefficients <f, psi_n> of a function of time over psi_0..psi_n_max.
 
-    params: SlepianParams
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-
-    def energy(self) -> float:
-        """Whole-line energy of the represented function (Parseval)."""
-        return float(np.dot(self.coeffs, self.coeffs))
-
-
-def project(f, basis: ProlateBasis, *, bandlimited: bool = False) -> BandlimitedFunction:
-    """Project a function of time onto the prolate basis.
-
-    Coefficients are the whole-line inner products with psi_n, so for inputs
-    that are not bandlimited this is the orthogonal projection onto the
-    bandlimited subspace spanned by the basis.
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized real function of time.
-    bandlimited : bool
-        Declare ``f`` exactly bandlimited to the basis bandwidth.  The inner
-        products then reduce to window integrals through the eigenvalue
-        identity f_n = (1/lambda_n) * int_{-T}^{T} f psi_n on a Gauss-Legendre
-        rule of order max(4 n_max, ceil(4c), 64).  The division carries the
-        rounding of f's window values into coefficient n as about
-        eps / sqrt(lambda_n): projecting psi_0..psi_3
-        at c from 2 to 45 gave up to 38 eps / sqrt(lambda_n), and 2.6e-9 in
-        coefficient 11 of psi_3 at c = 5, where lambda_11 = 6.3e-13.  Slowly
-        decaying bandlimited inputs are hopeless for truncated real-line
-        quadrature, so use this whenever it applies.
+    The whole-line inner products with psi_n, so for inputs that are not
+    bandlimited this is the orthogonal projection onto the bandlimited
+    subspace spanned by the basis.  f, a vectorized real function of time, is
+    sampled once on the real-line rule; the result equals row 0 of
+    ``gamma_modes`` for the same pulse.
 
     Raises
     ------
     QuadratureError
-        If the energy tail of a generic ``f`` is still above tolerance at the
-        radius cap of ``quadrature.RADIUS_CAP`` windows; the achieved tolerance is
-        reported.
-    ValueError
-        With ``bandlimited=True``, if a mode's eigenvalue is below ``LAMBDA_FLOOR``.
+        If the energy tail of ``f`` is still above tolerance at the radius cap
+        of ``quadrature.RADIUS_CAP`` windows; the achieved tolerance is
+        reported.  Slowly decaying inputs, bandlimited ones such as psi_n or a
+        sinc among them, hit the cap.
     """
-    if bandlimited:
-        low = np.flatnonzero(basis.lambdas < LAMBDA_FLOOR)
-        if low.size:
-            raise ValueError(f"basis holds modes below LAMBDA_FLOOR (n = {low.tolist()}); "
-                             f"rebuild with automatic n_max or a smaller index range")
-        T, order = basis.params.T, max(4 * basis.n_max, math.ceil(4.0 * basis.params.c), 64)
-        nodes, weights = gauss_legendre(order, -T, T)
-        fvals = np.asarray(f(nodes), dtype=float)
-        coeffs = (_window_values(basis, nodes) * weights) @ fvals / basis.lambdas
-        return BandlimitedFunction(params=basis.params, coeffs=coeffs)
-    transform, _ = _pulse_transform(f, basis,
-                                    hint="; pass bandlimited=True if f is bandlimited")
-    return BandlimitedFunction(params=basis.params,
-                               coeffs=_pulse_rows(transform, (0.0,), 0)[0, 0])
+    transform, _ = _pulse_transform(f, basis)
+    return _pulse_rows(transform, (0.0,), 0)[0, 0]
 
 
-def _pulse_transform(f, basis: ProlateBasis, hint: str = ""):
+def _pulse_transform(f, basis: ProlateBasis):
     """The transform of f at the band nodes, from one sampling, and the energy of f.
 
     f is sampled once on the real-line rule.  Returns ((w, B, F), energy):
     F(w_q) = int f(t) exp(-i w_q t) dt at the band nodes w_q, with the band
-    block B of ``_band_blocks``, ready for ``_pulse_rows``.  ``hint`` ends the
-    message of the QuadratureError raised when the rule does not converge.
+    block B of ``_band_blocks``, ready for ``_pulse_rows``.
     """
     T = basis.params.T
     rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T)
     if not rule.converged:
         achieved = math.sqrt(rule.tail_energy / max(rule.total_energy, 1e-300))
         raise QuadratureError(
-            f"tail of the integrand still significant at radius {rule.radius:g}{hint}",
+            f"tail of the integrand still significant at radius {rule.radius:g}",
             achieved=achieved)
     freqs, band, ref = _band_blocks(basis, rule.panel_order)
     # every panel is [a_p, a_p + T], so F = sum_p exp(-i w a_p) (ref @ wv_p)

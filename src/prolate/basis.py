@@ -28,8 +28,8 @@ from .errors import EigensolverError
 from .params import SlepianParams
 from .quadrature import gauss_legendre
 
-#: The automatic n_max keeps the modes at or above this eigenvalue, and
-#: ``project(bandlimited=True)``, which divides by lambda_n, refuses modes below.
+#: The automatic n_max keeps the modes at or above this eigenvalue.  Nothing
+#: divides by lambda_n, so an explicit n_max may reach below it.
 LAMBDA_FLOOR = 1e-13
 
 #: Most Legendre terms, 2((n_modes + ceil(c))//2 + 20), that ``build_basis`` solves in;
@@ -58,7 +58,7 @@ def _legendre_shape(c: float, n_max: int | None = None) -> tuple[int, int]:
     return n_modes, 2 * ((n_modes + math.ceil(c)) // 2 + 20)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProlateBasis:
     """Computed family psi_0..psi_n_max for one (c, T) configuration.
 
@@ -78,9 +78,8 @@ class ProlateBasis:
     n_max: int
     lambdas: np.ndarray
     # Legendre coefficients beta_n of phi_n, one row per mode
-    _beta: np.ndarray = field(repr=False, compare=False)
-    _band_blocks: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False, hash=False)
+    _beta: np.ndarray = field(repr=False)
+    _band_blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -198,12 +197,6 @@ def build_basis(params: SlepianParams, n_max: int | None = None) -> ProlateBasis
                 f"no eigenvalue reaches the floor {LAMBDA_FLOOR:.1e} at c={c}")
         beta, lam = beta[: n_max + 1].copy(), lam[: n_max + 1].copy()
     return ProlateBasis(params=params, n_max=n_max, lambdas=lam, _beta=beta)
-
-
-def _window_values(basis: ProlateBasis, t) -> np.ndarray:
-    """psi_n(t) = sqrt(lambda_n / T) phi_n(t / T) of every mode for |t| <= T, rows n."""
-    table = _legendre_table(np.asarray(t) / basis.params.T, basis._beta.shape[1])
-    return np.sqrt(basis.lambdas / basis.params.T)[:, None] * (basis._beta @ table)
 
 
 def _transforms(basis: ProlateBasis, freqs, indices=None) -> np.ndarray:

@@ -34,13 +34,13 @@ def load_json(path) -> dict:
 
 
 def write_csv(path, header, rows, meta: dict) -> None:
-    """Write a CSV document; metadata rides along as leading '#' lines."""
-    lines = [f"# {key}={format_number(value)}" for key, value in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_number(x) for x in row))
+    """Write a CSV document line by line; metadata rides along as leading '#' lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for key, value in meta.items():
+            fh.write(f"# {key}={format_number(value)}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_number(x) for x in row) + "\n")
 
 
 def sha256_of(path) -> str:

@@ -20,7 +20,7 @@ DEFAULT_P_FLOOR = 1e-12
 COND_CAP = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeState:
     """Convex decomposition of a probe: weights rho_k and coefficient rows Psi_kn.
 
@@ -49,7 +49,7 @@ class ProbeState:
             raise ValueError(f"probe row norm^2 exceeds 1: {norms.max()!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmElement:
     """One measurement operator: weights Pi_il over coefficient vectors pi_il."""
 
@@ -216,7 +216,7 @@ def time_limit_povm(povm: Povm, basis: ProlateBasis) -> Povm:
     return Povm(elements, params=povm.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FisherMatrix:
     """Classical Fisher information with the evaluation metadata that shaped it."""
 

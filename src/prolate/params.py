@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,10 +19,9 @@ class SlepianParams:
     T: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ValueError(f"c must be positive, got {self.c}")
-        if not (self.T > 0.0):
-            raise ValueError(f"T must be positive, got {self.T}")
+        for name, value in (("c", self.c), ("T", self.T)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def omega(self) -> float:

@@ -42,8 +42,8 @@ class GaussianPsf:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError("sigma must be positive")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def __call__(self, t):
         s2 = self.sigma * self.sigma
@@ -75,6 +75,9 @@ class TwoPulseModel:
     nu: float = 0.5
 
     def __post_init__(self):
+        for name, value in (("tau", self.tau), ("tau0", self.tau0)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tau < 0.0:
             raise ValueError("tau must be >= 0")
         if not (0.0 <= self.nu <= 1.0):
@@ -121,7 +124,7 @@ def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     return _probe(model, basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativeBasis:
     """Derivative modes of the pulse shape and their orthonormalized form.
 
@@ -190,7 +193,7 @@ def gram_schmidt(dbasis: DerivativeBasis) -> DerivativeBasis:
     return replace(dbasis, phi=(q * signs).T, transform=np.linalg.inv(r).T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementDesign:
     """Coefficient matrix C_jk of the three projective elements over phi_0..phi_3."""
 

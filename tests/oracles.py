@@ -15,8 +15,6 @@ import mpmath as mp
 import numpy as np
 from scipy import linalg, special
 
-from prolate.basis import _window_values
-
 
 def dense_nystrom_lambdas(c, T=1.0, order=640, n_top=12):
     """Concentration eigenvalues from an oversized kernel discretization.
@@ -79,6 +77,12 @@ def window_mode_values(coeffs, x):
     k = np.arange(coeffs.shape[1])
     return np.polynomial.legendre.legval(np.asarray(x, dtype=float),
                                          (coeffs * np.sqrt(k + 0.5)).T).reshape(len(coeffs), -1)
+
+
+def window_values(basis, t):
+    """psi_n(t) = sqrt(lambda_n / T) phi_n(t / T) of every mode of a basis for |t| <= T, rows n."""
+    T = basis.params.T
+    return np.sqrt(basis.lambdas / T)[:, None] * window_mode_values(basis._beta, np.asarray(t) / T)
 
 
 def band_transforms(params, n_modes, w):
@@ -192,7 +196,7 @@ def whole_line_gram(basis, n_modes, n_omega=None):
     z, v = np.polynomial.legendre.leggauss(max(64, math.ceil(4.0 * c), 4 * n_modes))
     z = T * z
     v = T * v
-    alpha = (v * _window_values(basis, z)[:n_modes]
+    alpha = (v * window_values(basis, z)[:n_modes]
              / basis.lambdas[:n_modes, None])
     transforms = np.exp(-1j * np.outer(x, z)) @ alpha.T
     gram = transforms.conj().T @ (w[:, None] * transforms) / (2.0 * math.pi)

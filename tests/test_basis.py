@@ -9,7 +9,7 @@ from prolate import (LAMBDA_FLOOR, GaussianPsf, SlepianParams, build_basis,
                      default_psf_sigma, eval_psi, extension_matrix, lambda0_curve,
                      plunge_index, project)
 from prolate import basis as basis_module
-from prolate.basis import MAX_LEGENDRE_SIZE, _window_values
+from prolate.basis import MAX_LEGENDRE_SIZE
 from prolate.quadrature import gauss_legendre
 
 import oracles
@@ -42,7 +42,7 @@ class TestBuildBasis:
     def test_window_orthogonality(self, basis_cache):
         b = basis_cache(5.0, 8)
         nodes, weights = gauss_legendre(64, -1.0, 1.0)
-        psi = _window_values(b, nodes)
+        psi = oracles.window_values(b, nodes)
         gram = (psi * weights) @ psi.T
         assert np.max(np.abs(gram - np.diag(b.lambdas))) < 1e-12
 
@@ -117,21 +117,18 @@ class TestEvalPsi:
         b = basis_cache(5.0, 8)
         nodes, _ = gauss_legendre(64, -1.0, 1.0)
         vals = extension_matrix(b, nodes)
-        assert np.max(np.abs(vals - _window_values(b, nodes))) < 1e-9
+        assert np.max(np.abs(vals - oracles.window_values(b, nodes))) < 1e-9
 
     def test_subfloor_mode_evaluates(self):
         # lambda_8(c = 2) = 2.8e-14 sits below LAMBDA_FLOOR; its values come
-        # from the band integral, which does not divide by lambda_8, and only
-        # the window identity of project(bandlimited=True) refuses it
+        # from the band integral, which does not divide by lambda_8
         b = build_basis(SlepianParams(2.0), n_max=8)
         assert b.lambdas[7] >= LAMBDA_FLOOR > b.lambdas[8]
         # the band integral is accurate to about eps relative to the unit norm
         nodes, _ = gauss_legendre(64, -1.0, 1.0)
         inside = eval_psi(b, 8, nodes)
-        assert np.max(np.abs(inside - _window_values(b, nodes)[8])) < 1e-13
+        assert np.max(np.abs(inside - oracles.window_values(b, nodes)[8])) < 1e-13
         assert abs(eval_psi(b, 8, 2.5)) < 1.0
-        with pytest.raises(ValueError):
-            project(np.cos, b, bandlimited=True)
 
     @pytest.mark.parametrize("c, T", [(0.5, 1.0), (5.0, 2.0), (45.0, 1.0)])
     def test_far_values_match_band_quadrature(self, c, T):
@@ -208,13 +205,13 @@ class TestHighPrecisionOracle:
         assert np.all(got < 1.0) and np.all(np.diff(got) <= 0.0)
 
     def test_window_samples_near_the_floor(self):
-        # lambda_8..lambda_11 run from 1.6e-7 down to 6.3e-13
+        # lambda_8..lambda_11 run from 1.6e-7 down to 6.3e-13; the oracle's
+        # coefficients beyond the basis's Legendre range are below 3e-49
         _, coeffs = oracles.mp_prolate(5.0, 36)
         b = build_basis(SlepianParams(5.0), n_max=11)
-        nodes, _ = gauss_legendre(64, -1.0, 1.0)
-        want = oracles.window_mode_values(coeffs[8:12], nodes)
-        got = _window_values(b, nodes)[8:12] / np.sqrt(b.lambdas[8:12, None])
-        assert np.max(np.abs(got - want)) < 1e-12
+        size = b._beta.shape[1]
+        assert np.max(np.abs(coeffs[8:12, size:])) < 3e-49
+        assert np.max(np.abs(b._beta[8:12] - coeffs[8:12, :size])) <= 1e-14
 
 
 class TestBandEnergy:
@@ -225,7 +222,7 @@ class TestBandEnergy:
         sigma = default_psf_sigma(c)
         b = build_basis(SlepianParams(c), n_max=n_max)
         psf = GaussianPsf(sigma)
-        rows = project(lambda t: psf(t - 1.5), b).coeffs
+        rows = project(lambda t: psf(t - 1.5), b)
         assert abs(np.dot(rows, rows) - special.erf(math.sqrt(2.0) * sigma * c)) < 1e-13
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 from prolate import io as pio
 
@@ -21,6 +22,22 @@ def test_csv_deterministic(tmp_path):
     text = a.read_text()
     assert text.startswith("# schema_version=1\nx,n,y\n")
     assert repr(math.pi) in text
+
+
+def test_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    # every line goes to the file as it is formatted, so 40000 rows peak as 2000 do
+    def peak(n):
+        rows = ((i, 0.1 * i, "limited") for i in range(n))
+        tracemalloc.start()
+        try:
+            pio.write_csv(tmp_path / f"{n}.csv", ("n", "t", "regime"), rows, {"rows": n})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_000), peak(40_000)
+    assert large < small + 64 * 1024, (small, large)
+    assert (tmp_path / "40000.csv").read_text().splitlines()[-1] == "39999,3999.9,limited"
 
 
 def test_manifest_records_hashes(tmp_path):

@@ -48,6 +48,18 @@ def test_traced_names_resolve():
     assert prolate.build_basis is original and prolate.cli.build_basis is original
 
 
+def test_readme_library_example_runs():
+    # the README's library example is the documented scenario that the
+    # public API answers to, so it runs as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    head, sep, section = readme.partition("\n## Library example\n")
+    assert sep, "README has no '## Library example' section"
+    fence, sep, rest = section.partition("```python\n")
+    assert sep and "\n## " not in fence, "no python block under '## Library example'"
+    code = rest.partition("\n```")[0]
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
+
+
 def test_runtime_needs_numpy_only(tmp_path):
     # scipy and mpmath are test oracles; the package must import and run without them
     script = (

@@ -117,7 +117,7 @@ def test_one_rule_per_call(monkeypatch, name):
         call()
         assert rules["rule"] == 1
     row0 = gamma_modes(replace(model, tau0=0.0), basis).gamma[0]
-    assert np.array_equal(row0, project(psf, basis).coeffs)
+    assert np.array_equal(row0, project(psf, basis))
 
 
 def _count_rules(monkeypatch):
