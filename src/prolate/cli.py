@@ -41,7 +41,8 @@ class ConfigError(ValueError):
     """Bad or missing run configuration."""
 
 
-def grid_values(start: float, stop: float, step: float) -> tuple:
+def _grid_count(start: float, stop: float, step: float) -> int:
+    """Number of points of a valid grid, found without making one."""
     for name, x in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(x):
             raise ConfigError(f"{start}:{stop}:{step} has a non-finite {name}")
@@ -51,8 +52,11 @@ def grid_values(start: float, stop: float, step: float) -> tuple:
     span = (stop - start) / step + 1e-9
     if not span < _MAX_GRID_POINTS:  # also refuses a span that overflows
         raise ConfigError(f"{start}:{stop}:{step} holds more than {_MAX_GRID_POINTS} points")
-    count = int(math.floor(span)) + 1
-    return tuple(start + i * step for i in range(count))
+    return int(math.floor(span)) + 1
+
+
+def grid_values(start: float, stop: float, step: float) -> tuple:
+    return tuple(start + i * step for i in range(_grid_count(start, stop, step)))
 
 
 def grid_triple(grid) -> tuple:
@@ -62,7 +66,7 @@ def grid_triple(grid) -> tuple:
         start, stop, step = (float(x) for x in parts)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"must be start:stop:step, got {grid!r}") from exc
-    grid_values(start, stop, step)
+    _grid_count(start, stop, step)
     return start, stop, step
 
 

@@ -74,8 +74,9 @@ class PovmElement:
 class Povm:
     """Monitored elements 0..d-1; the leakage element d is implicit.
 
-    Every element's vectors are stacked once, zero-padded to the widest, into
-    one matrix with an element index and a weight per row.
+    Every element's vectors have the same width, the probe's coefficient
+    count; they are stacked once into one matrix with an element index and a
+    weight per row.
     """
 
     elements: tuple
@@ -86,11 +87,13 @@ class Povm:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("POVM needs at least one monitored element")
-        m = max(el.vectors.shape[1] for el in self.elements)
+        widths = sorted({el.vectors.shape[1] for el in self.elements})
+        if len(widths) > 1:
+            raise ValueError(f"POVM elements must share one coefficient width, got {widths}")
         index = np.repeat(np.arange(len(self.elements)),
                           [el.weights.size for el in self.elements])
         weights = np.concatenate([el.weights for el in self.elements])
-        vectors = np.vstack([_pad_cols(el.vectors, m) for el in self.elements])
+        vectors = np.vstack([el.vectors for el in self.elements])
         for a in (index, weights, vectors):
             a.flags.writeable = False
         object.__setattr__(self, "_stack", (index, weights, vectors))
@@ -109,14 +112,6 @@ class Povm:
         if top > 1.0 + POVM_SLACK:
             raise PovmValidityError("monitored elements exceed the identity", top)
         return top
-
-
-def _pad_cols(a: np.ndarray, m: int) -> np.ndarray:
-    if a.shape[1] == m:
-        return a
-    out = np.zeros((a.shape[0], m))
-    out[:, : a.shape[1]] = a
-    return out
 
 
 def _check_shared_params(a: SlepianParams | None, b: SlepianParams | None) -> None:
@@ -139,15 +134,17 @@ def _probabilities(modes: np.ndarray, rho: np.ndarray, povm: Povm, w=None) -> np
     elements, and the leakage entry closes the distribution to 1.  The
     column weight w picks the regime: None for unlimited time, lambda_n for
     band plus window, 1 up to the plunge index and 0 above for the truncated
-    sums.  Each vector's amplitudes are one (1, m) @ (m, k) product, which
-    rounds as the product of that vector alone.
+    sums.  The rows and the POVM's vectors must have the same width.  Each
+    vector's amplitudes are one (1, m) @ (m, k) product, which rounds as the
+    product of that vector alone.
     """
     index, weights, vectors = povm._stack
-    m = max(modes.shape[1], vectors.shape[1])
-    psi = _pad_cols(modes, m)
-    if w is not None:
-        psi = psi * _column_weight(w, m)
-    amp = (_pad_cols(vectors, m)[:, None, :] @ psi.T)[:, 0]  # (vectors, k)
+    m = vectors.shape[1]
+    if modes.shape[1] != m:
+        raise ValueError(f"probe rows have {modes.shape[1]} coefficients but the "
+                         f"POVM's vectors have {m}")
+    psi = modes if w is None else modes * _column_weight(w, m)
+    amp = (vectors[:, None, :] @ psi.T)[:, 0]  # (vectors, k)
     terms = (weights[:, None] * rho[None, :] * amp * amp).sum(axis=1)
     p_click = np.bincount(index, terms, minlength=len(povm.elements))
     if np.any(p_click < -PROB_SLACK) or np.any(p_click > 1.0 + PROB_SLACK):
@@ -195,8 +192,8 @@ def probabilities_truncated(probe: ProbeState, povm: Povm, c: float) -> np.ndarr
     coefficients above the plunge index contribute nothing.
     """
     _check_shared_params(probe.params, povm.params)
-    m = max(probe.modes.shape[1], povm.coefficient_length())
-    return _probabilities(probe.modes, probe.weights, povm, _plunge_weight(c, m))
+    return _probabilities(probe.modes, probe.weights, povm,
+                          _plunge_weight(c, povm.coefficient_length()))
 
 
 def time_limit_povm(povm: Povm, basis: ProlateBasis) -> Povm:
@@ -211,8 +208,7 @@ def time_limit_povm(povm: Povm, basis: ProlateBasis) -> Povm:
     if povm.params is not None and povm.params != basis.params:
         raise ValueError("POVM expressed over different basis parameters")
     lam = _column_weight(basis.lambdas, povm.coefficient_length())
-    elements = tuple(PovmElement(el.weights, el.vectors * lam[: el.vectors.shape[1]])
-                     for el in povm.elements)
+    elements = tuple(PovmElement(el.weights, el.vectors * lam) for el in povm.elements)
     return Povm(elements, params=povm.params)
 
 

@@ -44,7 +44,7 @@ def panel_order_for(max_freq: float, width: float) -> int:
     return max(32, math.ceil(0.75 * max_freq * width) + 24)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealLineRule:
     """Composite rule for integrals of a concrete function over the real line.
 

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import prolate.bandlimited as bandlimited
-import prolate.superres as superres
 from prolate import (GaussianPsf, ProbeState, SlepianParams, TwoPulseModel,
                      build_basis, crb, default_psf_sigma,
                      design_from_sphere, efficiency_bounds, efficiency_factor,
-                     extension_matrix, gamma_modes, gram_schmidt, optimal_povm,
-                     project, superres_fisher, time_limited_design)
+                     extension_matrix, fisher_matrix, gamma_modes, gram_schmidt,
+                     optimal_povm, probabilities_ideal, probabilities_limited,
+                     probabilities_truncated, project, superres_fisher,
+                     time_limited_design)
 from prolate.quadrature import _reference_rule, gauss_legendre, real_line_rule
 
 
@@ -26,7 +27,7 @@ def sech_pulse(w):
     return lambda t: 1.0 / (np.cosh(np.asarray(t, dtype=float) / w) * math.sqrt(2.0 * w))
 
 
-def time_domain_probe(model, basis, sampled=None):
+def time_domain_probe(model, basis):
     """The probe without the band route: a rule per shifted pulse, extended onto its nodes."""
     T = basis.params.T
     rows = []
@@ -121,29 +122,36 @@ def test_superres_fisher_checks_pulse_norm_once(monkeypatch):
 
 @pytest.mark.parametrize("c, regime", [(3.0, "ideal"), (6.0, "limited"),
                                        (12.0, "truncated")])
-def test_superres_row_matches_uncached_projection(monkeypatch, c, regime):
+def test_superres_row_matches_uncached_projection(c, regime):
     """CLI row quantities agree with the time-domain probe to the stated bounds:
     A and the efficiency bounds to 1e-11, F_tautau and the CRBs to 1e-7."""
 
-    def row():
+    def row(fisher_of):
         basis, model, dbasis, design = _fisher_inputs(c, GaussianPsf(default_psf_sigma(c)))
         povm = optimal_povm(design, dbasis)
         a = efficiency_factor(time_limited_design(design, dbasis, basis)
                               if regime == "limited" else design)
-        fisher = superres_fisher(model, povm, basis, regime)
+        fisher = fisher_of(model, povm, basis)
         return np.array([a, *efficiency_bounds(dbasis, basis)]), \
             np.array([fisher.matrix[0, 0], *crb(fisher)])
 
-    design_now, fisher_now = row()
-    probes = Counter()
+    evals = Counter()
 
-    def counted_probe(*args, **kwargs):
-        probes["probe"] += 1
-        return time_domain_probe(*args, **kwargs)
+    def time_domain_fisher(model, povm, basis):
+        route = {"ideal": lambda probe: probabilities_ideal(probe, povm),
+                 "limited": lambda probe: probabilities_limited(probe, povm, basis),
+                 "truncated": lambda probe: probabilities_truncated(probe, povm, c)}[regime]
 
-    monkeypatch.setattr(superres, "_probe", counted_probe)
-    design_ref, fisher_ref = row()
-    assert probes["probe"] == 13  # every probability of the Fisher matrix
+        def reference(theta):
+            evals["model"] += 1
+            m = replace(model, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
+            return route(time_domain_probe(m, basis))
+
+        return fisher_matrix(reference, model.theta)
+
+    design_now, fisher_now = row(lambda *args: superres_fisher(*args, regime))
+    design_ref, fisher_ref = row(time_domain_fisher)
+    assert evals["model"] == 13  # every probability of the Fisher matrix
     assert np.all(np.abs(design_now - design_ref) <= 1e-11 * np.abs(design_ref))
     assert np.all(np.abs(fisher_now - fisher_ref) <= 1e-7 * np.abs(fisher_ref))
 

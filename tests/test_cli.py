@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import prolate
 from prolate import lambda0_curve
 from prolate import basis as basis_module
 from prolate.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, ConfigError,
-                         build_parser, main, parse_grid, resolve_config)
+                         build_parser, grid_triple, main, parse_grid, resolve_config)
 
 # data files and manifests of each command, written before quad_order was retired
 RECORDED = Path(__file__).parent / "data" / "recorded"
@@ -51,6 +52,17 @@ def test_grid_point_limit():
     assert len(parse_grid("1:1000000:1")) == 10 ** 6
     with pytest.raises(ConfigError, match="more than 1000000 points"):
         parse_grid("0:1000000:1")
+
+
+def test_grid_checked_without_building():
+    # the size check counts the points; the grid itself is made once, later
+    tracemalloc.start()
+    try:
+        assert grid_triple("0:999998:1") == (0.0, 999998.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_huge_grid_refused_before_building(tmp_path):

@@ -175,20 +175,30 @@ class TestProbabilityKernel:
                                   oracles.per_element_probabilities(probe, povm,
                                                                     scale=basis.lambdas))
 
-    def test_multi_vector_elements_and_padding(self, b5):
+    def test_multi_vector_elements_and_width_mismatch(self, b5):
         # summed in another order than one element at a time; measured at
         # most 2.6e-16 of the largest probability over c in {1.2, 5, 20, 45}
         rng = np.random.default_rng(23)
         for _ in range(40):
-            multi = random_probe_povm(rng, k=3, d=3, L=3)
-            probe, _ = random_probe_povm(rng)
-            _, narrow = random_probe_povm(rng, m=4, L=2)
-            for pr, povm in (multi, (probe, narrow)):
-                assert close_to_reference(probabilities_ideal(pr, povm),
-                                          oracles.per_element_probabilities(pr, povm), 1e-15)
-                assert close_to_reference(
-                    probabilities_limited(pr, povm, b5),
-                    oracles.per_element_probabilities(pr, povm, scale=b5.lambdas), 1e-15)
+            pr, povm = random_probe_povm(rng, k=3, d=3, L=3)
+            assert close_to_reference(probabilities_ideal(pr, povm),
+                                      oracles.per_element_probabilities(pr, povm), 1e-15)
+            assert close_to_reference(
+                probabilities_limited(pr, povm, b5),
+                oracles.per_element_probabilities(pr, povm, scale=b5.lambdas), 1e-15)
+        # a POVM narrower than the probe is refused, not zero-extended
+        probe, _ = random_probe_povm(rng)
+        _, narrow = random_probe_povm(rng, m=4, L=2)
+        for route in (lambda: probabilities_ideal(probe, narrow),
+                      lambda: probabilities_limited(probe, narrow, b5),
+                      lambda: probabilities_truncated(probe, narrow, 5.0)):
+            with pytest.raises(ValueError, match="have 9 coefficients .* have 4"):
+                route()
+
+    def test_mixed_element_widths_refused(self):
+        elements = (PovmElement([1.0], [unit(0, m=4)]), PovmElement([1.0], [unit(1, m=3)]))
+        with pytest.raises(ValueError, match=r"one coefficient width, got \[3, 4\]"):
+            Povm(elements)
 
     @pytest.mark.parametrize("c", [1.2, 5.0, 20.0, 45.0])
     def test_truncated_against_sliced_sums(self, c):
@@ -205,13 +215,13 @@ class TestProbabilityKernel:
     def test_too_few_eigenvalues_rejected(self, b5):
         probe = ProbeState([1.0], [unit(0, m=12)])
         with pytest.raises(ValueError, match="supplies 9 eigenvalues"):
-            probabilities_limited(probe, projector_povm(0), b5)
+            probabilities_limited(probe, projector_povm(0, m=12), b5)
         with pytest.raises(ValueError, match="supplies 9 eigenvalues"):
             time_limit_povm(projector_povm(0, m=12), b5)
 
     def test_stacked_vectors_are_private_state(self):
         elements = (PovmElement([0.5, 0.25], [unit(0, m=4), unit(1, m=4)]),
-                    PovmElement([1.0], [unit(2, m=3)]))
+                    PovmElement([1.0], [unit(2, m=4)]))
         povm = Povm(elements)
         index, weights, vectors = povm._stack
         assert index.tolist() == [0, 0, 1] and weights.tolist() == [0.5, 0.25, 1.0]

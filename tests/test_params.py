@@ -6,6 +6,7 @@ import pytest
 from prolate import (DerivativeBasis, FisherMatrix, GaussianPsf, Povm, PovmElement,
                      ProbeState, SlepianParams, TwoPulseModel, build_basis,
                      design_from_sphere, probabilities_limited)
+from prolate.quadrature import real_line_rule
 
 
 def test_omega_always_derived():
@@ -49,6 +50,7 @@ ARRAY_HOLDERS = {
     "MeasurementDesign": lambda: design_from_sphere(0.7, 1.0, 0.7, -0.2),
     "FisherMatrix": lambda: FisherMatrix(np.eye(2), ("a", "b"), [1e-5, 1e-5]),
     "DerivativeBasis": lambda: DerivativeBasis(SlepianParams(5.0), np.eye(4, 6)),
+    "RealLineRule": lambda: real_line_rule(GaussianPsf(0.3), 1.0, max_freq=10.0),
 }
 
 

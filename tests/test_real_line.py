@@ -15,8 +15,8 @@ import pytest
 
 import prolate.bandlimited as bandlimited
 import prolate.superres as superres
-from prolate import (GaussianPsf, IdentifiabilityError, SlepianParams, TwoPulseModel,
-                     build_basis, crb, default_psf_sigma, design_from_sphere,
+from prolate import (GaussianPsf, IdentifiabilityError, ProbeState, SlepianParams,
+                     TwoPulseModel, build_basis, crb, default_psf_sigma, design_from_sphere,
                      fisher_matrix, gamma_modes, gram_schmidt, optimal_povm, plunge_index,
                      probabilities_ideal, probabilities_limited,
                      probabilities_truncated, probe_from_model, project,
@@ -202,16 +202,18 @@ def test_superres_fisher_matches_per_element_formula(c):
     # 1.7e-10 of F_tautau and 2.8e-6 of a CRB (at c = 1.2, tau = 0.1 sigma,
     # where cond(F) = 5e11)
     basis, model, povm = _sweep_inputs(c)
-    sampled = model.tau0, superres._sampled_pulse(model.psf, model.tau0, basis)
+    transform = superres._sampled_pulse(model.psf, model.tau0, basis)
     per_regime = {"ideal": {}, "limited": {"scale": basis.lambdas},
                   "truncated": {"n_cut": plunge_index(c)}}
     for f in (0.1, 0.5, 1.0, 2.0):
         at = replace(model, tau=f * model.psf.sigma)
         for regime, kwargs in per_regime.items():
             def reference(theta, kwargs=kwargs):
-                m = replace(at, tau=float(theta[0]), tau0=float(theta[1]), nu=float(theta[2]))
-                return oracles.per_element_probabilities(superres._probe(m, basis, sampled),
-                                                         povm, **kwargs)
+                tau, d, nu = float(theta[0]), float(theta[1]) - at.tau0, float(theta[2])
+                rows = bandlimited._pulse_rows(transform, (d + 0.5 * tau, d - 0.5 * tau), 0)
+                probe = ProbeState(weights=np.array([nu, 1.0 - nu]), modes=rows[:, 0],
+                                   params=basis.params)
+                return oracles.per_element_probabilities(probe, povm, **kwargs)
 
             want = fisher_matrix(reference, at.theta)
             got = superres_fisher(at, povm, basis, regime)

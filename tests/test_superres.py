@@ -158,6 +158,19 @@ class TestProbeFromModel:
         with pytest.raises(ValueError):
             probe_from_model(TwoPulseModel(bad, tau=0.2), b5)
 
+    def test_unit_norm_bound(self, b5, basis_cache):
+        # at c = 5 a Gaussian of a 40th of the default width samples to
+        # |energy - 1| = 4.9e-7, and its rows are about 1e-8 off
+        narrow = GaussianPsf(default_psf_sigma(5.0) / 40.0)
+        with pytest.raises(ValueError, match="not unit-norm"):
+            probe_from_model(TwoPulseModel(narrow, tau=0.2), b5)
+        for c in (1.2, 5.0, 20.0, 45.0, 150.0):
+            psf = GaussianPsf(default_psf_sigma(c))
+            probe_from_model(TwoPulseModel(psf, tau=0.2, tau0=0.05), basis_cache(c))
+        for c in (2.5, 6.0):
+            psf = SechPsf(default_psf_sigma(c))
+            probe_from_model(TwoPulseModel(psf, tau=0.2, tau0=0.05), basis_cache(c))
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             TwoPulseModel(GaussianPsf(0.5), tau=-0.1)
@@ -459,26 +472,26 @@ class TestSuperresFisher:
     @pytest.mark.parametrize("nu", [0.0, 1e-5, 1.0 - 1e-5, 1.0])
     def test_nu_within_step_of_boundary_refused(self, b5, model5, dbasis5,
                                                 monkeypatch, nu):
-        # the steps in nu are 1e-5 * (1 + nu); refused before any projection
+        # the steps in nu are 1e-5 * (1 + nu); refused before the pulse is sampled
         povm = optimal_povm(sample_design(), dbasis5)
 
-        def no_probe(*args, **kwargs):
-            raise AssertionError("model evaluated")
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("pulse sampled")
 
-        monkeypatch.setattr(superres, "_probe", no_probe)
+        monkeypatch.setattr(superres, "_sampled_pulse", no_sampling)
         with pytest.raises(IdentifiabilityError, match="nu = .* Fisher step"):
             superres_fisher(replace(model5, nu=nu), povm, b5, "limited")
 
     @pytest.mark.parametrize("tau", [0.0, 4e-6, 9e-6])
     def test_tau_within_step_of_zero_refused(self, b5, model5, dbasis5, monkeypatch, tau):
-        # the step in tau is 1e-5 * (1 + tau); refused before any projection,
-        # also where tau passes the floor
+        # the step in tau is 1e-5 * (1 + tau); refused before the pulse is
+        # sampled, also where tau passes the floor
         povm = optimal_povm(sample_design(), dbasis5)
 
-        def no_probe(*args, **kwargs):
-            raise AssertionError("model evaluated")
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("pulse sampled")
 
-        monkeypatch.setattr(superres, "_probe", no_probe)
+        monkeypatch.setattr(superres, "_sampled_pulse", no_sampling)
         with pytest.raises(IdentifiabilityError, match="tau = .* Fisher step"):
             superres_fisher(replace(model5, tau=tau), povm, b5, "limited", tau_floor=0.0)
 
