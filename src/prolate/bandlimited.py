@@ -35,14 +35,18 @@ def project(f, basis: ProlateBasis) -> np.ndarray:
 def _pulse_transform(f, basis: ProlateBasis):
     """The transform of f at the band nodes, from one sampling, and the energy of f.
 
-    f is sampled once on the real-line rule.  Returns ((w, B, F), energy):
-    F(w_q) = int f(t) exp(-i w_q t) dt at the band nodes w_q, with the band
-    block B of ``_band_blocks``, ready for ``_pulse_rows``.
+    f is sampled once on the real-line rule.  Returns ((w, B, F, reach),
+    energy): F(w_q) = int f(t) exp(-i w_q t) dt at the band nodes w_q, with
+    the band block B of ``_band_blocks``, ready for ``_pulse_rows``, and the
+    reach n_w / omega of the band rule's n_w nodes, the largest shift whose
+    phases it resolves.
     """
-    T = basis.params.T
-    rule = real_line_rule(f, T, max_freq=2.0 * basis.params.omega + 16.0 / T)
+    T, omega = basis.params.T, basis.params.omega
+    rule = real_line_rule(f, T, max_freq=2.0 * omega + 16.0 / T)
     if not rule.converged:
-        achieved = math.sqrt(rule.tail_energy / max(rule.total_energy, 1e-300))
+        # no energy found at all is a tail share of 1
+        achieved = (math.sqrt(rule.tail_energy / rule.total_energy)
+                    if rule.total_energy > 0.0 else 1.0)
         raise QuadratureError(
             f"tail of the integrand still significant at radius {rule.radius:g}",
             achieved=achieved)
@@ -52,7 +56,7 @@ def _pulse_transform(f, basis: ProlateBasis):
     wv = rule.weights * rule.values
     per_panel = ref @ wv.reshape(len(starts), rule.panel_order).T
     F = np.einsum("qp,qp->q", np.exp(-1j * np.outer(freqs, starts)), per_panel)
-    return (freqs, band, F), rule.total_energy
+    return (freqs, band, F, freqs.size / omega), rule.total_energy
 
 
 def _pulse_rows(transform, shifts, n_derivs: int) -> np.ndarray:
@@ -61,8 +65,14 @@ def _pulse_rows(transform, shifts, n_derivs: int) -> np.ndarray:
     Every psi_n is bandlimited, so a row is (1/2 pi) int (i w)^m exp(-i w s)
     F(w) conj(Psi_n(w)) dw over the band.  One matrix-vector product per row:
     a row comes out the same whatever other shifts and orders are asked for.
+    A shift beyond the reach of the band rule, where its phases alias,
+    raises QuadratureError.
     """
-    freqs, band, F = transform
+    freqs, band, F, reach = transform
+    far = max(map(abs, shifts))
+    if far > reach:
+        raise QuadratureError(f"shift {far:g} beyond the reach {reach:g} of the "
+                              f"{freqs.size}-node band rule")
     phases = np.exp(-1j * np.outer(shifts, freqs))[:, None, :]
     powers = (1j * freqs) ** np.arange(n_derivs + 1)[:, None]
     columns = (phases * powers * F).reshape(-1, freqs.size)

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_ENERGY_FLOOR = 1e-300
 #: the rule stops growing once the outermost panel pair holds below
-#: _REL_TOL^2 of the energy
+#: _REL_TOL^2 of the energy, and never while it has found none
 _REL_TOL = 1e-11
 #: the real-line rule stops growing at this many core radii
 RADIUS_CAP = 20.0
@@ -70,7 +69,8 @@ def real_line_rule(f, core_radius: float, *, max_freq: float) -> RealLineRule:
 
     Panels of width ``core_radius`` are appended on both sides of
     [-core_radius, core_radius] until the energy (sum of w*f^2) contributed by
-    the outermost pair falls below ``_REL_TOL``^2 times the accumulated energy.
+    the outermost pair falls below ``_REL_TOL``^2 times the accumulated energy;
+    while that energy is 0, as for a pulse far off centre, the rule grows on.
     ``max_freq`` is the highest angular frequency the panels must resolve.
     The radius is capped at ``RADIUS_CAP`` core radii; hitting the cap is
     reported through ``converged`` and left to the caller to enforce.
@@ -104,8 +104,7 @@ def real_line_rule(f, core_radius: float, *, max_freq: float) -> RealLineRule:
     marginal = math.inf
     converged = False
     while True:
-        threshold = _REL_TOL * _REL_TOL * max(total, _ENERGY_FLOOR)
-        if marginal < threshold:
+        if marginal < _REL_TOL * _REL_TOL * total:
             converged = True
             break
         if radius + R > cap * (1.0 + 1e-12):

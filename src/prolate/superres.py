@@ -90,10 +90,11 @@ class TwoPulseModel:
         return np.array([self.tau, self.tau0, self.nu])
 
 
-def _sampled_pulse(psf, tau0: float, basis: ProlateBasis):
-    # the band transform of Psf(t - tau0) from one sampling, whose energy also
-    # shows a pulse that is not unit-norm or too narrow for the rule to resolve
-    transform, energy = _pulse_transform(lambda t: psf(t - tau0), basis)
+def _sampled_pulse(psf, basis: ProlateBasis):
+    # the band transform of Psf(t), centred at its own origin, from one
+    # sampling; every shift is a phase of it.  Its energy also shows a pulse
+    # that is not unit-norm or too narrow for the rule to resolve
+    transform, energy = _pulse_transform(psf, basis)
     err = abs(energy - 1.0)
     if not err <= _NORM_TOL:
         raise ValueError(f"point spread function is not unit-norm, or narrower than "
@@ -105,13 +106,15 @@ def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     """Probe state of the two-pulse mixture in the prolate coefficient space.
 
     Rows are the projections of the shifted pulses Psf(t - tau0 -/+ tau/2)
-    with weights (nu, 1 - nu), both from one sampling of Psf(t - tau0).  The
+    with weights (nu, 1 - nu), both phases of one sampling of Psf(t).  The
     rows overlap for small tau, so this is a non-orthogonal convex
     decomposition -- probabilities do not care.  A pulse that is not
-    unit-norm, or too narrow for the real-line rule, raises ValueError.
+    unit-norm, or too narrow for the real-line rule, raises ValueError; a
+    shift beyond the band rule's reach raises QuadratureError.
     """
-    transform = _sampled_pulse(model.psf, model.tau0, basis)
-    modes = _pulse_rows(transform, (0.5 * model.tau, -0.5 * model.tau), 0)[:, 0]
+    transform = _sampled_pulse(model.psf, basis)
+    shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
+    modes = _pulse_rows(transform, shifts, 0)[:, 0]
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
                       modes=modes, params=basis.params)
 
@@ -141,12 +144,13 @@ class DerivativeBasis:
 def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
     """Project the derivative family d^n/dt^n Psf(t - tau0), n = 0..N_DERIVS.
 
-    The pulse is sampled once, and must be unit-norm and resolved by the
-    real-line rule.  Row 0 is its projection; rows n >= 1 take the transform
-    of the samples times (i w)^n over the band of the basis: no step size
-    enters and no derivative of the pulse is needed.
+    The pulse is sampled once at its own origin, and must be unit-norm and
+    resolved by the real-line rule; tau0 is a phase of that transform.  Row 0
+    is the projection of Psf(t - tau0); rows n >= 1 take the transform times
+    (i w)^n over the band of the basis: no step size enters and no derivative
+    of the pulse is needed.
     """
-    gamma = _pulse_rows(_sampled_pulse(model.psf, model.tau0, basis), (0.0,), N_DERIVS)[0]
+    gamma = _pulse_rows(_sampled_pulse(model.psf, basis), (model.tau0,), N_DERIVS)[0]
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 
@@ -298,10 +302,10 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
                     tau_floor: float | None = None):
     """Fisher information of theta = (tau, tau0, nu) under the chosen regime.
 
-    ``model`` is one TwoPulseModel, or a sequence of models that share psf,
-    tau0 and nu, such as several separations at one centroid; a sequence
-    gives a list with one FisherMatrix per model, each equal to the call for
-    that model alone.  ``regime`` selects the weight on the probe's
+    ``model`` is one TwoPulseModel, or a sequence of models that share their
+    psf, such as several separations at one centroid; a sequence gives a
+    list with one FisherMatrix per model, each equal to the call for that
+    model alone.  ``regime`` selects the weight on the probe's
     coefficient columns: none for "ideal", lambda_n for "limited" (band +
     window), 1 up to the plunge index and 0 above for "truncated".
     Separations below ``tau_floor`` (default 1e-4 sigma for Gaussian pulses)
@@ -310,15 +314,17 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
     within one finite-difference step of 0, or an intensity ratio nu within
     one of 0 or 1, is refused too: the steps would leave the parameter range.
     Every model is checked before the pulse is sampled, once per call at
-    tau0: a step in tau0 becomes a phase of that one transform.
+    its own origin.  Each stencil point reads its rows at the shifts
+    tau0 +/- tau/2 as phases of that one transform, and each read checks the
+    shifts against the band rule's reach (QuadratureError beyond it).
     """
     single = isinstance(model, TwoPulseModel)
     models = [model] if single else list(model)
     if not models:
         raise ValueError("no models given")
     first = models[0]
-    if any((m.psf, m.tau0, m.nu) != (first.psf, first.tau0, first.nu) for m in models):
-        raise ValueError("models must share psf, tau0 and nu")
+    if any(m.psf != first.psf for m in models):
+        raise ValueError("models must share psf")
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if tau_floor is None:
@@ -344,14 +350,13 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
     _check_shared_params(basis.params, povm.params)
     w = {"ideal": None, "limited": basis.lambdas,
          "truncated": _plunge_weight(basis.params.c, basis.n_modes)}[regime]
-    # every probe is a shift of one sampling of Psf(t - tau0): a step in tau0
-    # only adds its offset to the shifts +/- tau/2, so this one sampling serves
-    # every separation and every step
-    transform = _sampled_pulse(first.psf, first.tau0, basis)
+    # every probe is two shifts of one sampling of Psf(t), so this one
+    # sampling serves every model and every step
+    transform = _sampled_pulse(first.psf, basis)
 
     def probabilities(theta):
-        tau, d, nu = theta[0], theta[1] - first.tau0, theta[2]
-        rows = _pulse_rows(transform, (d + 0.5 * tau, d - 0.5 * tau), 0)[:, 0]
+        tau, tau0, nu = theta
+        rows = _pulse_rows(transform, (tau0 + 0.5 * tau, tau0 - 0.5 * tau), 0)[:, 0]
         return _probabilities(rows, np.array([nu, 1.0 - nu]), povm, w)
 
     fishers = [fisher_matrix(probabilities, m.theta, labels=("tau", "tau0", "nu"))

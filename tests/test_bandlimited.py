@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from prolate import (HermiteGaussMode, QuadratureError, SlepianParams, build_basis,
-                     eval_psi, hg_eval, project)
+from prolate import (GaussianPsf, HermiteGaussMode, QuadratureError, SlepianParams,
+                     build_basis, default_psf_sigma, eval_psi, extension_matrix, hg_eval,
+                     project)
+from prolate.quadrature import gauss_legendre
 
 import oracles
 
@@ -14,8 +16,10 @@ def b5():
 
 class TestProject:
     def test_zero_function(self, b5):
-        g = project(lambda t: np.zeros_like(t), b5)
-        assert np.all(g == 0.0)
+        # no energy anywhere is not convergence: the tail share is reported as 1
+        with pytest.raises(QuadratureError) as err:
+            project(lambda t: np.zeros_like(t), b5)
+        assert err.value.achieved == 1.0
 
     def test_ground_hg_mode_concentrates_on_psi0(self):
         b = build_basis(SlepianParams(20.0))
@@ -29,6 +33,21 @@ class TestProject:
             mode = HermiteGaussMode(0, c_mode)
             g = project(lambda t: scale * hg_eval(mode, t), b5)
             assert np.dot(g, g) <= scale ** 2 + 1e-8
+
+    def test_far_off_centre_pulse(self, b5):
+        # a Gaussian centred at t = 25 or 40 holds no energy in the first panel
+        # pairs; that is no convergence, and its energy lies past the radius cap
+        sigma = default_psf_sigma(5.0)
+        for t0 in (25.0, 40.0):
+            with pytest.raises(QuadratureError) as err:
+                project(lambda t: GaussianPsf(sigma)(np.asarray(t) - t0), b5)
+            assert err.value.achieved == pytest.approx(1.0, abs=1e-9)
+        # at t = 8 the rule still reaches it: a time-domain sum over psi_n agrees,
+        # measured 2.8e-13 of the largest coefficient
+        f = lambda t: GaussianPsf(sigma)(np.asarray(t) - 8.0)
+        x, w = gauss_legendre(600, 0.0, 16.0)
+        want = extension_matrix(b5, x) @ (w * f(x))
+        assert np.max(np.abs(project(f, b5) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_heavy_tail_reports_achieved_tolerance(self, b5):
         # a constant, and psi_3: bandlimited, but decaying only as 1/t

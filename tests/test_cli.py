@@ -297,6 +297,28 @@ class TestSuperres:
         assert "|energy - 1| = 1.4" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["--tau", "20", "--regime", "ideal"],
+                                      ["--tau0", "10", "--tau", "0.3"]])
+    def test_shift_beyond_reach_refused(self, tmp_path, capsys, argv):
+        # at c = 20 the 108-node band rule resolves shifts up to 5.4; the pulses
+        # at +/- 10, or the centroid at 10, would alias into wrong rows
+        out = tmp_path / "never.csv"
+        code = main(["superres", "--c", "20", *argv, "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "shift 10 beyond the reach 5.4 of the 108-node band rule" in err
+        assert not out.exists()
+
+    def test_far_centroid_within_reach_runs(self, tmp_path):
+        # at c = 1.2 the band rule reaches 53.3: the pulse is sampled at its
+        # own origin, so a centroid at 25 is a phase, not a wider sampling
+        out = tmp_path / "far.csv"
+        code = main(["superres", "--c", "1.2", "--tau0", "25", "--tau", "0.3",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        _, rows = read_rows(out)
+        assert float(rows[0][2]) == 25.0 and all(math.isfinite(float(v)) for v in rows[0][5:])
+
     @pytest.mark.parametrize("c, regime", [("1.2", "limited"), ("3", "ideal"),
                                            ("12", "truncated")])
     def test_taus_of_one_run_match_one_tau_runs(self, tmp_path, capsys, c, regime):

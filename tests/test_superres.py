@@ -204,10 +204,14 @@ class TestGammaModes:
         for c in (1.2, 2.5, 5.0, 12.0, 20.0, 45.0):
             b = basis_cache(c)
             sigma = default_psf_sigma(c)
+            centred = gamma_modes(TwoPulseModel(PlainGaussian(sigma), tau=0.3), b)
+            assert np.array_equal(centred.gamma[0], project(PlainGaussian(sigma), b))
+            # tau0 is a phase of the centred sampling, where project samples
+            # the shifted pulse: measured at most 2.2e-14 apart
             generic = gamma_modes(TwoPulseModel(PlainGaussian(sigma), tau=0.3, tau0=0.1), b)
+            shifted = project(lambda t: PlainGaussian(sigma)(t - 0.1), b)
+            assert row_errors(shifted[None, :], generic.gamma[:1])[0] <= 1e-13, c
             exact = derivative_projections(ExactGaussian(sigma), 0.1, b)
-            assert np.array_equal(generic.gamma[0], project(
-                lambda t: PlainGaussian(sigma)(t - 0.1), b))
             assert np.max(row_errors(exact, generic.gamma)) < 1e-10, c
 
     def test_sech_routes_agree(self, basis_cache):
