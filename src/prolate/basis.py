@@ -19,6 +19,7 @@ n-th Hermite-Gauss mode (not its negative) for large c.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,8 +37,7 @@ LAMBDA_FLOOR = 1e-13
 #: its dense solve peaks near 220 MB there (c = 5, n_max = 2003).  More are refused.
 MAX_LEGENDRE_SIZE = 2048
 
-#: Bytes of the largest table, band nodes or Legendre terms by times, that
-#: ``extension_matrix`` holds at once; 601 times fit under MAX_LEGENDRE_SIZE.
+#: Bytes of the band-node tables ``extension_matrix`` holds at once; 601 times always fit
 _BLOCK_BYTES = 1 << 24
 
 _PHASES = np.array([1.0, -1j, -1.0, 1j])  # (-i)^n for n mod 4
@@ -64,10 +64,9 @@ class ProlateBasis:
 
     Immutable after construction; safe to share across threads.  Every value
     of psi_n comes from the modes' Legendre coefficients, kept privately with
-    one lazily filled cache of read-only arrays: per panel order, the band
-    blocks B and R through which every whole-line projection runs (at c = 45,
-    126 KB and 305 KB).  Two threads filling it at once each build their own
-    copy and the last one stored is kept; no result changes.
+    lazily filled read-only arrays: the band rule ``_band_rule``, and per
+    panel order the time-to-band map R of ``bandlimited``.  Threads filling
+    them at once may each build a copy; the last stored is kept, no result changes.
 
     Attributes
     ----------
@@ -84,6 +83,24 @@ class ProlateBasis:
     @property
     def n_modes(self) -> int:
         return self.n_max + 1
+
+    @functools.cached_property
+    def _band_rule(self) -> tuple:
+        """(w, B, reach): band nodes w_q, B[n, q] = conj(Psi_n(w_q)) v_q / (2 pi), n_w / Omega.
+
+        v_q weigh the n_w points of the band rule, sized for the phases of an
+        automatic basis and at least K Legendre terms plus n_max // 16 for an
+        explicit n_max's degree.  Every mode value and shift up to the reach,
+        the largest |t| whose phases exp(i w t) it resolves, reads B.
+        """
+        c, omega, size = self.params.c, self.params.omega, self._beta.shape[1]
+        freqs, v = gauss_legendre(max(64, math.ceil(3.0 * c) + 48, size + self.n_max // 16),
+                                  -omega, omega)
+        n = np.arange(self.n_modes)  # Psi_n(w) = (-i)^n sqrt(2 pi / Omega) phi_n(w / Omega)
+        band = np.conj((_PHASES[n % 4] * math.sqrt(2.0 * math.pi / omega))[:, None] * (
+            self._beta @ _legendre_table(freqs / omega, size))) * (v / (2.0 * math.pi))
+        freqs.flags.writeable = band.flags.writeable = False
+        return freqs, band, freqs.size / omega
 
 
 def _legendre_table(x, size: int) -> np.ndarray:
@@ -199,58 +216,46 @@ def build_basis(params: SlepianParams, n_max: int | None = None) -> ProlateBasis
     return ProlateBasis(params=params, n_max=n_max, lambdas=lam, _beta=beta)
 
 
-def _transforms(basis: ProlateBasis, freqs, indices=None) -> np.ndarray:
-    """Psi_n(w) = (-i)^n sqrt(2 pi / Omega) phi_n(w / Omega) for |w| <= Omega, rows n."""
-    n = np.atleast_1d(np.arange(basis.n_modes) if indices is None else np.asarray(indices, int))
-    if np.any((n < 0) | (n > basis.n_max)):
-        raise ValueError(f"mode index outside computed range 0..{basis.n_max}")
-    omega = basis.params.omega
-    phi = basis._beta[n] @ _legendre_table(np.asarray(freqs) / omega, basis._beta.shape[1])
-    return (_PHASES[n % 4] * math.sqrt(2.0 * math.pi / omega))[:, None] * phi
-
-
 def extension_matrix(basis: ProlateBasis, t, indices=None) -> np.ndarray:
     """psi_n(t) for the selected modes, rows n, columns t, for every real t.
 
-    The band integral (1/2 pi) int Psi_n(w) exp(i w t) dw: on a Gauss-Legendre
-    rule while Omega |t| <= K, the Legendre degree, and term by term beyond,
-    sqrt(2 Omega / pi) sum_k i^(k - n) beta_nk sqrt(k + 1/2) j_k(Omega t), with
-    the spherical Bessel functions j_k by upward recurrence, stable for k < Omega |t|.
-    The times are taken in blocks whose band-node or Bessel tables stay under
+    The band integral (1/2 pi) int Psi_n(w) exp(i w t) dw: from the rows of the
+    basis' band rule ``_band_rule`` while |t| is within its reach n_w / Omega,
+    and term by term beyond, sqrt(2 Omega / pi) sum_k i^(k - n) beta_nk
+    sqrt(k + 1/2) j_k(Omega t), with the spherical Bessel functions j_k by
+    upward recurrence, stable there since every k < K <= n_w < Omega |t|.
+    The times are taken in blocks whose band-node tables stay under
     ``_BLOCK_BYTES``, so memory beyond the result does not grow with len(t).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n = np.atleast_1d(np.arange(basis.n_modes) if indices is None else np.asarray(indices, int))
+    if np.any((n < 0) | (n > basis.n_max)):
+        raise ValueError(f"mode index outside computed range 0..{basis.n_max}")
+    freqs, band, reach = basis._band_rule
     omega, size = basis.params.omega, basis._beta.shape[1]
-    freqs, v = gauss_legendre(math.ceil(0.5 * (basis.params.c + size + basis.n_max)) + 48,
-                              -omega, omega)
-    psi_hat = _transforms(basis, freqs, n) * (v / (2.0 * math.pi))
-    width = max(1, _BLOCK_BYTES // (8 * max(freqs.size, size)))
-    out = np.empty((n.size, t.size))
-    for lo in range(0, t.size, width):
-        out[:, lo:lo + width] = _extension_block(basis, n, freqs, psi_hat, t[lo:lo + width])
-    return out
-
-
-def _extension_block(basis: ProlateBasis, n, freqs, psi_hat, t) -> np.ndarray:
-    """``extension_matrix`` over one block of times, from its band rule ``psi_hat``."""
-    omega, size = basis.params.omega, basis._beta.shape[1]
-    near = omega * np.abs(t) <= size
+    # the nodes pair as +/- w_q, and Psi_n is even and real, or odd and
+    # imaginary: the sum folds onto w_q >= 0, one of cos and sin per mode
+    top = slice(freqs.size // 2, None)
+    half, w = band[n][:, top] * np.where(freqs[top] > 0.0, 2.0, 1.0), freqs[top]
+    k = np.arange(size)  # beta_nk = 0 unless k - n is even
+    terms = math.sqrt(2.0 * omega / math.pi) * basis._beta[n] * np.sqrt(k + 0.5) * (
+        -1.0) ** ((k - n[:, None]) // 2)
     out = np.zeros((n.size, t.size))
-    # Psi_n is real for even n and imaginary for odd n: one of cos and sin each
-    if np.any(psi_hat.real):
-        out[:, near] += psi_hat.real @ np.cos(np.outer(freqs, t[near]))
-    if np.any(psi_hat.imag):
-        out[:, near] -= psi_hat.imag @ np.sin(np.outer(freqs, t[near]))
-    if not np.all(near):
-        z = omega * t[~near]
-        j = np.empty((size, z.size))
-        j[0], j[1] = np.sin(z) / z, (np.sin(z) / z - np.cos(z)) / z
-        for k in range(1, size - 1):
-            j[k + 1] = (2 * k + 1) / z * j[k] - j[k - 1]
-        k = np.arange(size)  # beta_nk = 0 unless k - n is even
-        terms = basis._beta[n] * np.sqrt(k + 0.5) * (-1.0) ** ((k - n[:, None]) // 2)
-        out[:, ~near] = math.sqrt(2.0 * omega / math.pi) * terms @ j
+    width = max(1, _BLOCK_BYTES // (8 * freqs.size))
+    for lo in range(0, t.size, width):
+        block, tb = out[:, lo:lo + width], t[lo:lo + width]
+        near = np.abs(tb) <= reach
+        if np.any(half.real):
+            block[:, near] += half.real @ np.cos(np.outer(w, tb[near]))
+        if np.any(half.imag):
+            block[:, near] += half.imag @ np.sin(np.outer(w, tb[near]))
+        if not np.all(near):
+            z = omega * tb[~near]
+            j = np.empty((size, z.size))
+            j[0], j[1] = np.sin(z) / z, (np.sin(z) / z - np.cos(z)) / z
+            for m in range(1, size - 1):
+                j[m + 1] = (2 * m + 1) / z * j[m] - j[m - 1]
+            block[:, ~near] = terms @ j
     return out
 
 

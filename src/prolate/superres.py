@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import ProlateBasis
 from .bandlimited import _pulse_rows, _pulse_transform
-from .errors import IdentifiabilityError, PovmValidityError, RankDeficiencyError
+from .errors import IdentifiabilityError, PovmValidityError, QuadratureError, RankDeficiencyError
 from .metrology import (POVM_SLACK, Povm, PovmElement, ProbeState, _check_shared_params,
                         _column_weight, _default_steps, _plunge_weight, _probabilities,
                         fisher_matrix)
@@ -31,6 +31,8 @@ RANK_TOL = 1e-14
 #: largest |energy - 1| a sampled pulse may show: at 1e-6 its rows can be
 #: 1e-8 off the closed form, below 1e-10 they were within 2e-12
 _NORM_TOL = 1e-10
+#: least norm / rounding floor of a derivative row: rows were off by up to 1e4 floor / norm
+_FLOOR_FACTOR = 1e12
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,17 @@ def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
     resolved by the real-line rule; tau0 is a phase of that transform.  Row 0
     is the projection of Psf(t - tau0); rows n >= 1 take the transform times
     (i w)^n over the band of the basis: no step size enters and no derivative
-    of the pulse is needed.
+    of the pulse is needed.  A row below ``_FLOOR_FACTOR`` times its rounding
+    floor, as for a narrow pulse far off the window, raises QuadratureError.
     """
-    gamma = _pulse_rows(_sampled_pulse(model.psf, basis), (model.tau0,), N_DERIVS)[0]
+    freqs, band, F, _ = transform = _sampled_pulse(model.psf, basis)
+    gamma = _pulse_rows(transform, (model.tau0,), N_DERIVS)[0]
+    # row m rounds to about eps sum_q |B_nq| |(i w_q)^m exp(-i w_q tau0) F_q|
+    floor = np.abs(freqs) ** np.arange(N_DERIVS + 1)[:, None] * np.abs(F) @ np.abs(band).T
+    share = np.finfo(float).eps * np.linalg.norm(floor, axis=1) / np.linalg.norm(gamma, axis=1)
+    if np.any(share * _FLOOR_FACTOR > 1.0):
+        raise QuadratureError(f"derivative row {np.argmax(share)} at tau0 = {model.tau0:g} is "
+                              f"below {_FLOOR_FACTOR:.0e} times its rounding floor", max(share))
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 

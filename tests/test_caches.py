@@ -160,7 +160,8 @@ def test_band_blocks_built_once_and_read_only():
     basis = build_basis(SlepianParams(4.0))
     sigma = default_psf_sigma(4.0)
     first = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3), basis).gamma
-    (order, blocks), = basis._band_blocks.items()
+    (order, ref), = basis._band_blocks.items()
+    blocks = (*basis._band_rule[:2], ref)
     for block in blocks:
         assert not block.flags.writeable
         with pytest.raises(ValueError):
@@ -169,7 +170,8 @@ def test_band_blocks_built_once_and_read_only():
     gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3, tau0=0.6), basis)
     gamma_modes(TwoPulseModel(sech_pulse(sigma), tau=0.3), basis)
     assert list(basis._band_blocks) == [order]
-    assert all(a is b for a, b in zip(basis._band_blocks[order], blocks))
+    assert all(a is b for a, b in zip((*basis._band_rule[:2], basis._band_blocks[order]),
+                                      blocks))
     again = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3), basis).gamma
     cold = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3),
                        build_basis(SlepianParams(4.0))).gamma
@@ -180,7 +182,8 @@ def test_band_blocks_are_private_state():
     a = build_basis(SlepianParams(4.0))
     gamma_modes(TwoPulseModel(GaussianPsf(0.4), tau=0.3), a)
     assert a._band_blocks and "_band_blocks" not in repr(a)
-    assert not replace(a)._band_blocks
+    assert "_band_rule" in vars(a) and "_band_rule" not in repr(a)
+    assert not replace(a)._band_blocks and "_band_rule" not in vars(replace(a))
     assert not build_basis(SlepianParams(4.0))._band_blocks
     with pytest.raises(AttributeError):
         a._band_blocks = {}

@@ -309,6 +309,52 @@ class TestSuperres:
         assert "shift 10 beyond the reach 5.4 of the 108-node band rule" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("c, n_max", [("5", "200"), ("20", "300")])
+    def test_explicit_n_max_matches_smaller_basis(self, tmp_path, c, n_max):
+        # the band rule takes at least the modes' Legendre terms: at --n-max
+        # 200 and 300 A read 0.0128 and 0.0471 for 0.1155 and 0.4242
+        def row(name, size):
+            out = tmp_path / name
+            assert main(["superres", "--c", c, "--tau", "0.3", "--n-max", size,
+                         "--out", str(out)]) == EXIT_OK
+            header, rows = read_rows(out)
+            return {k: float(v) for k, v in zip(header, rows[0]) if k != "regime"}
+
+        ref, big = row("ref.csv", "100"), row("big.csv", n_max)
+        for key in ("A", "bound_phi2", "F_tautau"):
+            assert abs(big[key] - ref[key]) <= 1e-9 * abs(ref[key]), key
+
+    def test_rows_at_their_rounding_floor_refused(self, tmp_path, capsys):
+        # the centroid at 3 is inside the reach 4.07, but the rows there are
+        # rounding: bound_phi2 read 0.221 (0.794 from exact rows), F_tautau 0
+        out = tmp_path / "never.csv"
+        code = main(["superres", "--c", "45", "--tau0", "3", "--tau", "0.1",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "times its rounding floor" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, n_rows", [
+        (["--c-grid", "1:20:1", "--tau-grid", "0.1:0.5:0.1", "--regime", regime], 100)
+        for regime in ("ideal", "limited", "truncated")] + [
+        # the benchmark's superres-sweep strata at their centres and their
+        # c jitter of 3%: (c, regime, first taus and steps)
+        (["--c", c, "--regime", regime, *taus], len(taus) // 2)
+        for centre, regime, taus in (
+            (1.2, "limited", ["--tau", "0.08", "--tau", "0.12"]),
+            (3.0, "ideal", ["--tau", "0.1", "--tau", "0.25", "--tau", "0.4"]),
+            (6.0, "limited", ["--tau", "0.15", "--tau", "0.3", "--tau", "0.45"]),
+            (12.0, "truncated", ["--tau", "0.1", "--tau", "0.25", "--tau", "0.4",
+                                 "--tau", "0.55"]),
+            (45.0, "limited", ["--tau", "0.1", "--tau", "0.3"]))
+        for c in (repr(0.97 * centre), repr(centre), repr(1.03 * centre))])
+    def test_sweeps_clear_of_the_rounding_floor(self, tmp_path, argv, n_rows):
+        # centred pulses keep every derivative row far above its rounding
+        # floor, so the 100-row sweep and the benchmark strata write every row
+        out = tmp_path / "rows.csv"
+        assert main(["superres", *argv, "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out)[1]) == n_rows
+
     def test_far_centroid_within_reach_runs(self, tmp_path):
         # at c = 1.2 the band rule reaches 53.3: the pulse is sampled at its
         # own origin, so a centroid at 25 is a phase, not a wider sampling

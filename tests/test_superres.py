@@ -238,6 +238,47 @@ class TestGammaModes:
         got = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3, tau0=0.1), b).gamma
         assert np.max(row_errors(want, got)) <= 1e-10, c
 
+    @pytest.mark.parametrize("n_max", [60, 120, 200])
+    def test_explicit_n_max_rows_match_closed_form(self, n_max):
+        # the band rule holds at least the modes' Legendre terms; on the 64
+        # nodes of the automatic c = 5 basis the modes above about 100 were off
+        # by up to 4.6.  Measured 3.7e-13 of the largest entry
+        b = build_basis(SlepianParams(5.0), n_max=n_max)
+        sigma = default_psf_sigma(5.0)
+        for tau0 in (0.0, 3.0):
+            got = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.3, tau0=tau0), b).gamma
+            want = oracles.transform_rows(b, oracles.gaussian_transform(sigma), tau0=tau0,
+                                          n_omega=2000)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), tau0
+
+    def test_rows_at_their_rounding_floor_refused(self, basis_cache):
+        # at c = 45 the pulse centred at 3, inside the reach 4.07, has rows of
+        # about 5e-16, wrong by up to 2e2 relative: its rounding floor is 8.9e-2
+        # of row 0's norm
+        psf = GaussianPsf(default_psf_sigma(45.0))
+        with pytest.raises(QuadratureError, match="rounding floor") as err:
+            gamma_modes(TwoPulseModel(psf, tau=0.1, tau0=3.0), basis_cache(45.0))
+        assert 0.05 < err.value.achieved < 0.2
+
+    @pytest.mark.parametrize("c", [5.0, 20.0, 45.0])
+    def test_accepted_rows_clear_of_their_rounding_floor(self, basis_cache, c):
+        # rows were off by up to 1e4 times floor / norm, so every row
+        # gamma_modes accepts is within 1e-8 of the oracle; scanned out to the
+        # reach, where c = 20 and 45 refuse
+        b = basis_cache(c)
+        sigma = default_psf_sigma(c)
+        refused = 0
+        for tau0 in np.linspace(0.0, b._band_rule[2], 9):
+            try:
+                got = gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.1, tau0=tau0), b).gamma
+            except QuadratureError:
+                refused += 1
+                continue
+            want = oracles.transform_rows(b, oracles.gaussian_transform(sigma), tau0=tau0,
+                                          n_omega=2000)
+            assert np.max(row_errors(want, got)) <= 1e-8, tau0
+        assert (refused > 0) == (c > 5.0)
+
     def test_former_step_size_failures_run_through(self, basis_cache):
         # a fixed finite-difference step of T/50 could not resolve these widths;
         # GaussianPsf's sigma sets the default tau_floor, the sech pulse passes one
