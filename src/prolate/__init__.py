@@ -14,8 +14,8 @@ from .errors import (EigensolverError, IdentifiabilityError,
                      PovmValidityError, ProlateError, QuadratureError,
                      RankDeficiencyError, SingularFisherError)
 from .hermite import HermiteGaussMode, hermite_function, hg_eval
-from .metrology import (FisherMatrix, Povm, PovmElement, ProbeState, crb,
-                        fisher_matrix, probabilities_ideal, probabilities_limited,
+from .metrology import (FisherMatrix, Povm, ProbeState, crb, fisher_matrix,
+                        probabilities_ideal, probabilities_limited,
                         probabilities_truncated, time_limit_povm)
 from .params import SlepianParams
 from .superres import (DerivativeBasis, GaussianPsf, MeasurementDesign,
@@ -34,8 +34,8 @@ __all__ = [
     "PovmValidityError", "ProlateError", "QuadratureError",
     "RankDeficiencyError", "SingularFisherError",
     "HermiteGaussMode", "hermite_function", "hg_eval",
-    "FisherMatrix", "Povm", "PovmElement", "ProbeState", "crb",
-    "fisher_matrix", "probabilities_ideal", "probabilities_limited",
+    "FisherMatrix", "Povm", "ProbeState", "crb", "fisher_matrix",
+    "probabilities_ideal", "probabilities_limited",
     "probabilities_truncated", "time_limit_povm",
     "SlepianParams",
     "DerivativeBasis", "GaussianPsf", "MeasurementDesign", "TwoPulseModel",

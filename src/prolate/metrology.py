@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,61 +50,31 @@ class ProbeState:
 
 
 @dataclass(frozen=True, eq=False)
-class PovmElement:
-    """One measurement operator: weights Pi_il over coefficient vectors pi_il."""
+class Povm:
+    """Rank-1 monitored elements |pi_j><pi_j|, one read-only row pi_j each.
 
-    weights: np.ndarray
+    ``vectors`` is a (d, m) matrix over the prolate coefficients; the leakage
+    element d, the identity minus their sum, is implicit.  Each row's norm^2
+    is at most 1, so each element alone is below the identity.
+    """
+
     vectors: np.ndarray
+    params: SlepianParams | None = None
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "vectors", v)
-        if v.shape[0] != w.size:
-            raise ValueError("vectors must have one row per weight")
-        if np.any(w < 0.0):
-            raise ValueError("POVM element weights must be non-negative")
+        v = np.array(self.vectors, dtype=float, ndmin=2)
+        if v.ndim != 2 or v.size == 0:
+            raise ValueError(f"POVM needs a non-empty (elements, coefficients) matrix of "
+                             f"vectors, got shape {v.shape}")
         norms = np.sum(v * v, axis=1)
         if np.any(norms > 1.0 + POVM_SLACK):
             raise ValueError(f"POVM vector norm^2 exceeds 1: {norms.max()!r}")
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Monitored elements 0..d-1; the leakage element d is implicit.
-
-    Every element's vectors have the same width, the probe's coefficient
-    count; they are stacked once into one matrix with an element index and a
-    weight per row.
-    """
-
-    elements: tuple
-    params: SlepianParams | None = None
-    _stack: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
-            raise ValueError("POVM needs at least one monitored element")
-        widths = sorted({el.vectors.shape[1] for el in self.elements})
-        if len(widths) > 1:
-            raise ValueError(f"POVM elements must share one coefficient width, got {widths}")
-        index = np.repeat(np.arange(len(self.elements)),
-                          [el.weights.size for el in self.elements])
-        weights = np.concatenate([el.weights for el in self.elements])
-        vectors = np.vstack([el.vectors for el in self.elements])
-        for a in (index, weights, vectors):
-            a.flags.writeable = False
-        object.__setattr__(self, "_stack", (index, weights, vectors))
-
-    def coefficient_length(self) -> int:
-        return self._stack[2].shape[1]
+        v.flags.writeable = False
+        object.__setattr__(self, "vectors", v)
 
     def completeness_operator(self) -> np.ndarray:
-        """Matrix of sum_i Pi_i on the spanned coefficient space."""
-        _, weights, vectors = self._stack
-        return (weights[:, None] * vectors).T @ vectors
+        """Matrix of sum_j |pi_j><pi_j| on the spanned coefficient space."""
+        return self.vectors.T @ self.vectors
 
     def validate(self) -> float:
         """Check that the leakage complement stays positive; returns top eigenvalue."""
@@ -130,23 +100,22 @@ def _column_weight(w: np.ndarray, m: int) -> np.ndarray:
 def _probabilities(modes: np.ndarray, rho: np.ndarray, povm: Povm, w=None) -> np.ndarray:
     """Outcome probabilities p_0..p_d of probe rows Psi_kn with weights rho_k.
 
-    p_i = sum_{k,l} rho_k Pi_il (sum_n pi_iln w_n Psi_kn)^2 for the monitored
-    elements, and the leakage entry closes the distribution to 1.  The
-    column weight w picks the regime: None for unlimited time, lambda_n for
-    band plus window, 1 up to the plunge index and 0 above for the truncated
-    sums.  The rows and the POVM's vectors must have the same width.  Each
-    vector's amplitudes are one (1, m) @ (m, k) product, which rounds as the
-    product of that vector alone.
+    p_j = sum_k rho_k (sum_n pi_jn w_n Psi_kn)^2 for the monitored elements,
+    and the leakage entry closes the distribution to 1.  The column weight w
+    picks the regime: None for unlimited time, lambda_n for band plus window,
+    1 up to the plunge index and 0 above for the truncated sums.  The rows
+    and the POVM's vectors must have the same width.  Each vector's
+    amplitudes are one (1, m) @ (m, k) product, which rounds as the product
+    of that vector alone.
     """
-    index, weights, vectors = povm._stack
+    vectors = povm.vectors
     m = vectors.shape[1]
     if modes.shape[1] != m:
         raise ValueError(f"probe rows have {modes.shape[1]} coefficients but the "
                          f"POVM's vectors have {m}")
     psi = modes if w is None else modes * _column_weight(w, m)
-    amp = (vectors[:, None, :] @ psi.T)[:, 0]  # (vectors, k)
-    terms = (weights[:, None] * rho[None, :] * amp * amp).sum(axis=1)
-    p_click = np.bincount(index, terms, minlength=len(povm.elements))
+    amp = (vectors[:, None, :] @ psi.T)[:, 0]  # (elements, k)
+    p_click = (rho * amp * amp).sum(axis=1)
     if np.any(p_click < -PROB_SLACK) or np.any(p_click > 1.0 + PROB_SLACK):
         raise PovmValidityError(
             f"monitored probability outside [0, 1]: {p_click.min()!r}..{p_click.max()!r}")
@@ -165,8 +134,8 @@ def _plunge_weight(c: float, m: int) -> np.ndarray:
 def probabilities_ideal(probe: ProbeState, povm: Povm) -> np.ndarray:
     """Outcome probabilities p_0..p_d with unlimited measurement time.
 
-    p_i = sum_{k,l} rho_k Pi_il |sum_n pi_iln Psi_kn|^2 for the monitored
-    elements; the leakage entry closes the distribution to 1.
+    p_j = sum_k rho_k |sum_n pi_jn Psi_kn|^2 for the monitored elements; the
+    leakage entry closes the distribution to 1.
     """
     _check_shared_params(probe.params, povm.params)
     return _probabilities(probe.modes, probe.weights, povm)
@@ -193,23 +162,22 @@ def probabilities_truncated(probe: ProbeState, povm: Povm, c: float) -> np.ndarr
     """
     _check_shared_params(probe.params, povm.params)
     return _probabilities(probe.modes, probe.weights, povm,
-                          _plunge_weight(c, povm.coefficient_length()))
+                          _plunge_weight(c, povm.vectors.shape[1]))
 
 
 def time_limit_povm(povm: Povm, basis: ProlateBasis) -> Povm:
     """Compress every monitored element into the measurement window.
 
-    Coefficient vectors are damped to pi_iln * lambda_n, so ideal
-    probabilities of the result reproduce the limited probabilities of the
-    original.  Element norms can only shrink.  Applying the map twice damps
-    by lambda_n^2: the window projector is idempotent in time, but its
-    compression onto the bandlimited subspace is a strict contraction.
+    Each vector is damped to pi_jn * lambda_n, so ideal probabilities of the
+    result reproduce the limited probabilities of the original.  Element
+    norms can only shrink.  Applying the map twice damps by lambda_n^2: the
+    window projector is idempotent in time, but its compression onto the
+    bandlimited subspace is a strict contraction.
     """
     if povm.params is not None and povm.params != basis.params:
         raise ValueError("POVM expressed over different basis parameters")
-    lam = _column_weight(basis.lambdas, povm.coefficient_length())
-    elements = tuple(PovmElement(el.weights, el.vectors * lam) for el in povm.elements)
-    return Povm(elements, params=povm.params)
+    return Povm(povm.vectors * _column_weight(basis.lambdas, povm.vectors.shape[1]),
+                params=povm.params)
 
 
 @dataclass(frozen=True, eq=False)

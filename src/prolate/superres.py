@@ -18,9 +18,8 @@ import numpy as np
 from .basis import ProlateBasis
 from .bandlimited import _pulse_rows, _pulse_transform
 from .errors import IdentifiabilityError, PovmValidityError, QuadratureError, RankDeficiencyError
-from .metrology import (POVM_SLACK, Povm, PovmElement, ProbeState, _check_shared_params,
-                        _column_weight, _default_steps, _plunge_weight, _probabilities,
-                        fisher_matrix)
+from .metrology import (POVM_SLACK, Povm, ProbeState, _check_shared_params, _column_weight,
+                        _default_steps, _plunge_weight, _probabilities, fisher_matrix)
 from .params import SlepianParams
 
 REGIMES = ("ideal", "limited", "truncated")
@@ -104,6 +103,26 @@ def _sampled_pulse(psf, basis: ProlateBasis):
     return transform
 
 
+def _rows_above_floor(transform, shifts, n_derivs: int) -> np.ndarray:
+    """``_pulse_rows`` at the shifts, each row checked against its rounding floor.
+
+    A row of order m rounds to about eps sum_q |B_nq| |(i w_q)^m F_q|; a shift
+    only turns the phase of F_q, so one floor per order serves every shift.
+    A row under ``_FLOOR_FACTOR`` times its floor, as for a narrow pulse far
+    off the window, raises QuadratureError naming the row and carrying the
+    largest floor / norm share.
+    """
+    freqs, band, F, _ = transform
+    rows = _pulse_rows(transform, shifts, n_derivs)
+    floor = np.abs(freqs) ** np.arange(n_derivs + 1)[:, None] * np.abs(F) @ np.abs(band).T
+    share = np.finfo(float).eps * np.linalg.norm(floor, axis=1) / np.linalg.norm(rows, axis=2)
+    if np.any(share * _FLOOR_FACTOR > 1.0):
+        s, m = np.unravel_index(np.argmax(share), share.shape)
+        raise QuadratureError(f"row of order {m} at shift {shifts[s]:g} is below "
+                              f"{_FLOOR_FACTOR:.0e} times its rounding floor", float(share.max()))
+    return rows
+
+
 def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     """Probe state of the two-pulse mixture in the prolate coefficient space.
 
@@ -112,11 +131,12 @@ def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     rows overlap for small tau, so this is a non-orthogonal convex
     decomposition -- probabilities do not care.  A pulse that is not
     unit-norm, or too narrow for the real-line rule, raises ValueError; a
-    shift beyond the band rule's reach raises QuadratureError.
+    shift beyond the band rule's reach, or a row under ``_FLOOR_FACTOR``
+    times its rounding floor, raises QuadratureError.
     """
     transform = _sampled_pulse(model.psf, basis)
     shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
-    modes = _pulse_rows(transform, shifts, 0)[:, 0]
+    modes = _rows_above_floor(transform, shifts, 0)[:, 0]
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
                       modes=modes, params=basis.params)
 
@@ -153,14 +173,8 @@ def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
     of the pulse is needed.  A row below ``_FLOOR_FACTOR`` times its rounding
     floor, as for a narrow pulse far off the window, raises QuadratureError.
     """
-    freqs, band, F, _ = transform = _sampled_pulse(model.psf, basis)
-    gamma = _pulse_rows(transform, (model.tau0,), N_DERIVS)[0]
-    # row m rounds to about eps sum_q |B_nq| |(i w_q)^m exp(-i w_q tau0) F_q|
-    floor = np.abs(freqs) ** np.arange(N_DERIVS + 1)[:, None] * np.abs(F) @ np.abs(band).T
-    share = np.finfo(float).eps * np.linalg.norm(floor, axis=1) / np.linalg.norm(gamma, axis=1)
-    if np.any(share * _FLOOR_FACTOR > 1.0):
-        raise QuadratureError(f"derivative row {np.argmax(share)} at tau0 = {model.tau0:g} is "
-                              f"below {_FLOOR_FACTOR:.0e} times its rounding floor", max(share))
+    transform = _sampled_pulse(model.psf, basis)
+    gamma = _rows_above_floor(transform, (model.tau0,), N_DERIVS)[0]
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 
@@ -246,11 +260,12 @@ def efficiency_factor(design: MeasurementDesign) -> float:
 
 
 def optimal_povm(design: MeasurementDesign, dbasis: DerivativeBasis) -> Povm:
-    """Three rank-1 elements |pi_j> = sum_k C_jk |phi_k> plus implicit leakage.
+    """The three projective elements |pi_j><pi_j|, pi_j = sum_k C_jk phi_k.
 
-    Validity demands the summed operator stay below the identity (so the
-    leakage complement is positive) and the three elements be linearly
-    independent.
+    The POVM's vectors are the rows of C @ phi; the leakage element is
+    implicit.  Validity demands the summed operator stay below the identity
+    (so the leakage complement is positive) and the three elements be
+    linearly independent.
     """
     phi = dbasis.require_phi()
     c = design.C
@@ -268,9 +283,7 @@ def optimal_povm(design: MeasurementDesign, dbasis: DerivativeBasis) -> Povm:
         raise PovmValidityError("leakage complement not positive",
                                 top_eigenvalue=float(evals[-1]),
                                 eigenvector=evecs[:, -1] @ phi)
-    vectors = c @ phi
-    elements = tuple(PovmElement(np.array([1.0]), row[None, :]) for row in vectors)
-    return Povm(elements, params=dbasis.params)
+    return Povm(c @ phi, params=dbasis.params)
 
 
 def _phi_and_lambdas(dbasis: DerivativeBasis, basis: ProlateBasis):
@@ -326,7 +339,10 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
     Every model is checked before the pulse is sampled, once per call at
     its own origin.  Each stencil point reads its rows at the shifts
     tau0 +/- tau/2 as phases of that one transform, and each read checks the
-    shifts against the band rule's reach (QuadratureError beyond it).
+    shifts against the band rule's reach (QuadratureError beyond it).  Every
+    model's two rows are checked once, in one read, against their rounding
+    floor, which the one sampling fixes for every shift: a row under
+    ``_FLOOR_FACTOR`` times it raises QuadratureError.
     """
     single = isinstance(model, TwoPulseModel)
     models = [model] if single else list(model)
@@ -363,6 +379,8 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
     # every probe is two shifts of one sampling of Psf(t), so this one
     # sampling serves every model and every step
     transform = _sampled_pulse(first.psf, basis)
+    shifts = [s for m in models for s in (m.tau0 + 0.5 * m.tau, m.tau0 - 0.5 * m.tau)]
+    _rows_above_floor(transform, shifts, 0)
 
     def probabilities(theta):
         tau, tau0, nu = theta

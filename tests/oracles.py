@@ -123,21 +123,23 @@ def _mp_solve(diag, off, shift, rhs):
 
 @functools.lru_cache(maxsize=16)
 def mp_prolate(c, n_modes):
-    """(lambdas, coeffs) of modes 0..n_modes-1 from a high-precision solve.
+    """(lambdas, deficits, coeffs) of modes 0..n_modes-1 from a high-precision solve.
 
     Three steps of Rayleigh quotient iteration in mpmath refine each float64
     vector of ``legendre_coefficients``.  Then lambda_n = c |mu_n|^2 / (2 pi),
     with mu_n from the eigenvalue relation at the window edge x = 1:
     mu_n phi_n(1) = sum_k beta_k sqrt(k + 1/2) 2 i^k j_k(c), with j_k the
-    spherical Bessel functions.  phi_n(1) shrinks like exp(-c), and the sum
-    cancels down to sqrt(lambda_n), so the working precision grows with c
-    and covers lambda_n down to 1e-60.  Returns float64 arrays.
+    spherical Bessel functions.  The deficit 1 - lambda_n is taken in mpmath
+    too, where float64 lambda_n would round it away.  The sum cancels down to
+    phi_n(1), about sqrt(c (1 - lambda_n)) in the cluster, and 1 - lambda_0
+    is near exp(-2c); so 45 + 3c / ln(10) digits leave 1 - lambda_n its
+    float64 digits, and cover lambda_n down to 1e-60.  Returns float64 arrays.
     """
     start = legendre_coefficients(c, n_modes)
     m = start.shape[1] // 2
-    lambdas = np.empty(n_modes)
+    lambdas, deficits = np.empty(n_modes), np.empty(n_modes)
     coeffs = np.zeros_like(start)
-    with mp.workdps(45 + math.ceil(0.5 * c)):
+    with mp.workdps(45 + math.ceil(3.0 * c / math.log(10.0))):
         cm = mp.mpf(c)
         half = mp.mpf(1) / 2
         bessel = [mp.sqrt(mp.pi / (2 * cm)) * mp.besselj(k + half, cm) for k in range(2 * m)]
@@ -164,9 +166,10 @@ def mp_prolate(c, n_modes):
                 edge = mp.fsum(b * mp.sqrt(x + half) for b, x in zip(v, kk))
                 ft = mp.fsum(b * mp.sqrt(x + half) * 2 * (-1) ** (j // 2) * bessel[j]
                              for b, x, j in zip(v, kk, k))
-                lambdas[n] = float(cm * (ft / edge) ** 2 / (2 * mp.pi))
+                lam = cm * (ft / edge) ** 2 / (2 * mp.pi)
+                lambdas[n], deficits[n] = float(lam), float(1 - lam)
                 coeffs[n, parity::2] = [float(t) for t in v]
-    return lambdas, coeffs
+    return lambdas, deficits, coeffs
 
 
 def whole_line_inner(basis, n, m, n_omega=None):
@@ -308,26 +311,23 @@ def gaussian_overlap(tau, sigma):
 def per_element_probabilities(probe, povm, scale=None, n_cut=None):
     """Outcome probabilities p_0..p_d one POVM element at a time.
 
-    The regime-forked formula: the probe rows are padded to the widest
-    coefficient vector, scaled by ``scale`` (lambda_n for band plus window)
-    or cut after column ``n_cut`` (the plunge index), and each element's
-    squared amplitudes are summed from its own product.  The leakage entry
-    closes the distribution to 1.
+    The regime-forked formula: the probe rows are padded to the POVM's
+    width, scaled by ``scale`` (lambda_n for band plus window) or cut after
+    column ``n_cut`` (the plunge index), and each element's squared
+    amplitudes are summed from its own product.  The leakage entry closes
+    the distribution to 1.
     """
     def pad(a, m):
         return a if a.shape[1] == m else np.hstack([a, np.zeros((a.shape[0], m - a.shape[1]))])
 
-    m = max(probe.modes.shape[1], *(el.vectors.shape[1] for el in povm.elements))
-    psi = pad(probe.modes, m)
+    m = max(probe.modes.shape[1], povm.vectors.shape[1])
+    psi, vectors = pad(probe.modes, m), pad(povm.vectors, m)
     if scale is not None:
         psi = psi * scale[:m]
     if n_cut is not None:
-        psi = psi[:, : n_cut + 1]
-    out = np.empty(len(povm.elements))
-    for i, el in enumerate(povm.elements):
-        v = pad(el.vectors, m)
-        if n_cut is not None:
-            v = v[:, : n_cut + 1]
-        amp = v @ psi.T
-        out[i] = float(np.sum(el.weights[:, None] * probe.weights[None, :] * amp * amp))
+        psi, vectors = psi[:, : n_cut + 1], vectors[:, : n_cut + 1]
+    out = np.empty(len(vectors))
+    for i, v in enumerate(vectors):
+        amp = v[None, :] @ psi.T
+        out[i] = float(np.sum(probe.weights[None, :] * amp * amp))
     return np.append(np.clip(out, 0.0, 1.0), max(1.0 - out.sum(), 0.0))

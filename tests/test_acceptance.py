@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from prolate import (GaussianPsf, Povm, PovmElement, ProbeState, SlepianParams,
+from prolate import (GaussianPsf, Povm, ProbeState, SlepianParams,
                      TwoPulseModel, build_basis, crb, default_psf_sigma,
                      design_from_sphere, efficiency_bounds, efficiency_factor,
                      eval_psi, extension_matrix, fisher_matrix, gamma_modes,
@@ -125,16 +125,11 @@ def test_criterion_05_probability_pipeline_identity():
                      * rng.uniform(1.0, 2.0, 2)[:, None])
             wts = rng.uniform(0.2, 1.0, 2)
             probe = ProbeState(wts / wts.sum(), rows)
-            elements = []
-            for _ in range(3):
-                v = rng.standard_normal((2, 9))
-                v /= (np.linalg.norm(v, axis=1)[:, None]
-                      * rng.uniform(1.0, 2.0, 2)[:, None])
-                elements.append(PovmElement(rng.uniform(0.1, 1.0, 2), v))
-            povm = Povm(tuple(elements))
-            top = float(np.linalg.eigvalsh(povm.completeness_operator())[-1])
-            povm = Povm(tuple(PovmElement(el.weights * (0.98 / top), el.vectors)
-                              for el in elements))
+            v = rng.standard_normal((3, 9))
+            v /= (np.linalg.norm(v, axis=1)[:, None]
+                  * rng.uniform(1.0, 2.0, 3)[:, None])
+            top = float(np.linalg.eigvalsh(Povm(v).completeness_operator())[-1])
+            povm = Povm(v * math.sqrt(0.98 / top))
             p_limited = probabilities_limited(probe, povm, basis)
             p_piped = probabilities_ideal(probe, time_limit_povm(povm, basis))
             worst_gap = max(worst_gap, float(np.max(np.abs(p_limited - p_piped))))

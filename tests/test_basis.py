@@ -199,12 +199,16 @@ class TestEvalPsi:
             assert residual < 1e-12, (n, residual)
 
 
+def cluster_size(c):
+    return plunge_index(c) + 4
+
+
 class TestHighPrecisionOracle:
     """lambda_n and window modes against ``oracles.mp_prolate``."""
 
     @pytest.mark.parametrize("c, n_modes", [(0.5, 19), (5.0, 36), (20.0, 56)])
     def test_lambdas_down_to_1e60(self, c, n_modes):
-        want, _ = oracles.mp_prolate(c, n_modes)
+        want, _, _ = oracles.mp_prolate(c, n_modes)
         got = build_basis(SlepianParams(c), n_max=n_modes - 1).lambdas
         assert want[-1] < 1e-60
         deep = want >= 1e-60
@@ -214,16 +218,32 @@ class TestHighPrecisionOracle:
 
     @pytest.mark.parametrize("c", [45.0, 100.0])
     def test_cluster_lambdas(self, c):
-        n_modes = plunge_index(c) + 4
-        want, _ = oracles.mp_prolate(c, n_modes)
+        n_modes = cluster_size(c)
+        want, _, _ = oracles.mp_prolate(c, n_modes)
         got = build_basis(SlepianParams(c), n_max=n_modes - 1).lambdas
         assert np.max(np.abs(got - np.minimum(want, 1.0))) < 1e-14
         assert np.all(got < 1.0) and np.all(np.diff(got) <= 0.0)
 
+    @pytest.mark.parametrize("c, n_modes", [(0.5, 19), (5.0, 36), (20.0, 56),
+                                            (45.0, cluster_size(45.0)),
+                                            (100.0, cluster_size(100.0))])
+    def test_deficits_relative_down_to_2e_5(self, c, n_modes):
+        # 1 - lambda_n keeps the absolute rounding of float64 lambda_n, up to
+        # 4.1e-15 over these solves, so its relative error is within 1e-10
+        # down to 1 - lambda_7 = 1.907e-5 at c = 20; the largest deficit
+        # beyond it is 1 - lambda_56 = 1.599e-5 at c = 100, off by 1.25e-10
+        _, want, _ = oracles.mp_prolate(c, n_modes)
+        # the oracle's own deficits keep their order down to 1e-86 at c = 100
+        assert np.all(want > 0.0) and np.all(np.diff(want) >= 0.0)
+        got = 1.0 - build_basis(SlepianParams(c), n_max=n_modes - 1).lambdas
+        held = want >= 1.9e-5
+        assert np.max(np.abs(got[held] - want[held]) / want[held]) <= 1e-10
+        assert np.max(np.abs(got - want)) <= 5e-15
+
     def test_window_samples_near_the_floor(self):
         # lambda_8..lambda_11 run from 1.6e-7 down to 6.3e-13; the oracle's
         # coefficients beyond the basis's Legendre range are below 3e-49
-        _, coeffs = oracles.mp_prolate(5.0, 36)
+        _, _, coeffs = oracles.mp_prolate(5.0, 36)
         b = build_basis(SlepianParams(5.0), n_max=11)
         size = b._beta.shape[1]
         assert np.max(np.abs(coeffs[8:12, size:])) < 3e-49

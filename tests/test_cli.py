@@ -334,6 +334,16 @@ class TestSuperres:
         assert "times its rounding floor" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_probe_rows_at_their_rounding_floor_refused(self, tmp_path, capsys):
+        # the centred derivative rows pass, but the pulses at +/- 3 are
+        # rounding: F_tautau read 0.0 with NaN bounds labelled singular
+        out = tmp_path / "never.csv"
+        code = main(["superres", "--c", "45", "--tau", "6", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "order 0 at shift 3 is below 1e+12 times its rounding floor" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, n_rows", [
         (["--c-grid", "1:20:1", "--tau-grid", "0.1:0.5:0.1", "--regime", regime], 100)
         for regime in ("ideal", "limited", "truncated")] + [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prolate import (FisherMatrix, GaussianPsf, Povm, PovmElement, ProbeState,
+from prolate import (FisherMatrix, GaussianPsf, Povm, ProbeState,
                      PovmValidityError, SingularFisherError, SlepianParams,
                      TwoPulseModel, build_basis, crb, default_psf_sigma,
                      design_from_sphere, fisher_matrix, gamma_modes, gram_schmidt,
@@ -26,24 +26,18 @@ def unit(i, m=9):
 
 
 def projector_povm(*indices, m=9):
-    return Povm(tuple(PovmElement([1.0], [unit(i, m)]) for i in indices))
+    return Povm([unit(i, m) for i in indices])
 
 
-def random_probe_povm(rng, m=9, k=2, d=3, L=2):
+def random_probe_povm(rng, m=9, k=2, d=3):
     rows = rng.standard_normal((k, m))
     rows /= np.linalg.norm(rows, axis=1)[:, None] * rng.uniform(1.0, 2.0, k)[:, None]
     wts = rng.uniform(0.2, 1.0, k)
     probe = ProbeState(wts / wts.sum(), rows)
-    elements = []
-    for _ in range(d):
-        v = rng.standard_normal((L, m))
-        v /= np.linalg.norm(v, axis=1)[:, None] * rng.uniform(1.0, 2.0, L)[:, None]
-        elements.append(PovmElement(rng.uniform(0.1, 1.0, L), v))
-    povm = Povm(tuple(elements))
-    top = float(np.linalg.eigvalsh(povm.completeness_operator())[-1])
-    povm = Povm(tuple(PovmElement(el.weights * (0.98 / top), el.vectors)
-                      for el in elements))
-    return probe, povm
+    v = rng.standard_normal((d, m))
+    v /= np.linalg.norm(v, axis=1)[:, None] * rng.uniform(1.0, 2.0, d)[:, None]
+    top = float(np.linalg.eigvalsh(Povm(v).completeness_operator())[-1])
+    return probe, Povm(v * math.sqrt(0.98 / top))
 
 
 class TestProbabilitiesIdeal:
@@ -64,7 +58,7 @@ class TestProbabilitiesIdeal:
 
     def test_overcomplete_rejected(self):
         probe = ProbeState([1.0], [unit(0)])
-        povm = Povm((PovmElement([1.0], [unit(0)]), PovmElement([1.0], [unit(0)])))
+        povm = Povm([unit(0), unit(0)])
         with pytest.raises(PovmValidityError):
             probabilities_ideal(probe, povm)
 
@@ -73,8 +67,10 @@ class TestProbabilitiesIdeal:
             ProbeState([0.7, 0.7], [unit(0), unit(1)])  # weights don't sum to 1
         with pytest.raises(ValueError):
             ProbeState([1.0], [2.0 * unit(0)])  # row norm > 1
-        with pytest.raises(ValueError):
-            PovmElement([-0.1], [unit(0)])
+        with pytest.raises(ValueError, match="norm"):
+            Povm([unit(0), 1.1 * unit(1)])  # element above the identity
+        with pytest.raises(ValueError, match="non-empty"):
+            Povm([])
 
 
 class TestProbabilitiesLimited:
@@ -166,7 +162,7 @@ class TestProbabilityKernel:
         cases = [(probe_from_model(model, basis),
                   optimal_povm(design, gram_schmidt(gamma_modes(model, basis))))]
         rng = np.random.default_rng(17)
-        cases += [random_probe_povm(rng, m=basis.n_modes, k=k, d=3, L=1)
+        cases += [random_probe_povm(rng, m=basis.n_modes, k=k, d=3)
                   for k in (1, 2, 3, 9) for _ in range(10)]
         for probe, povm in cases:
             assert np.array_equal(probabilities_ideal(probe, povm),
@@ -175,20 +171,11 @@ class TestProbabilityKernel:
                                   oracles.per_element_probabilities(probe, povm,
                                                                     scale=basis.lambdas))
 
-    def test_multi_vector_elements_and_width_mismatch(self, b5):
-        # summed in another order than one element at a time; measured at
-        # most 2.6e-16 of the largest probability over c in {1.2, 5, 20, 45}
-        rng = np.random.default_rng(23)
-        for _ in range(40):
-            pr, povm = random_probe_povm(rng, k=3, d=3, L=3)
-            assert close_to_reference(probabilities_ideal(pr, povm),
-                                      oracles.per_element_probabilities(pr, povm), 1e-15)
-            assert close_to_reference(
-                probabilities_limited(pr, povm, b5),
-                oracles.per_element_probabilities(pr, povm, scale=b5.lambdas), 1e-15)
+    def test_width_mismatch_refused(self, b5):
         # a POVM narrower than the probe is refused, not zero-extended
+        rng = np.random.default_rng(23)
         probe, _ = random_probe_povm(rng)
-        _, narrow = random_probe_povm(rng, m=4, L=2)
+        _, narrow = random_probe_povm(rng, m=4)
         for route in (lambda: probabilities_ideal(probe, narrow),
                       lambda: probabilities_limited(probe, narrow, b5),
                       lambda: probabilities_truncated(probe, narrow, 5.0)):
@@ -196,9 +183,9 @@ class TestProbabilityKernel:
                 route()
 
     def test_mixed_element_widths_refused(self):
-        elements = (PovmElement([1.0], [unit(0, m=4)]), PovmElement([1.0], [unit(1, m=3)]))
-        with pytest.raises(ValueError, match=r"one coefficient width, got \[3, 4\]"):
-            Povm(elements)
+        # one matrix holds every element's vector, so ragged rows cannot form it
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            Povm([unit(0, m=4), unit(1, m=3)])
 
     @pytest.mark.parametrize("c", [1.2, 5.0, 20.0, 45.0])
     def test_truncated_against_sliced_sums(self, c):
@@ -208,7 +195,7 @@ class TestProbabilityKernel:
         rng = np.random.default_rng(29)
         m = build_basis(SlepianParams(c)).n_modes
         for _ in range(40):
-            probe, povm = random_probe_povm(rng, m=m, k=2, d=3, L=1)
+            probe, povm = random_probe_povm(rng, m=m, k=2, d=3)
             want = oracles.per_element_probabilities(probe, povm, n_cut=plunge_index(c))
             assert close_to_reference(probabilities_truncated(probe, povm, c), want, 1e-15)
 
@@ -219,32 +206,30 @@ class TestProbabilityKernel:
         with pytest.raises(ValueError, match="supplies 9 eigenvalues"):
             time_limit_povm(projector_povm(0, m=12), b5)
 
-    def test_stacked_vectors_are_private_state(self):
-        elements = (PovmElement([0.5, 0.25], [unit(0, m=4), unit(1, m=4)]),
-                    PovmElement([1.0], [unit(2, m=4)]))
-        povm = Povm(elements)
-        index, weights, vectors = povm._stack
-        assert index.tolist() == [0, 0, 1] and weights.tolist() == [0.5, 0.25, 1.0]
-        assert vectors.shape == (3, 4) and povm.coefficient_length() == 4
-        assert "_stack" not in repr(povm) and povm == Povm(elements)
+    def test_vectors_are_a_read_only_copy(self):
+        rows = np.array([unit(0, m=4), 0.5 * unit(1, m=4), unit(2, m=4)])
+        povm = Povm(rows)
+        assert povm.vectors.shape == (3, 4) and np.array_equal(povm.vectors, rows)
+        assert povm.vectors is not rows and rows.flags.writeable
         with pytest.raises(ValueError):
-            vectors[0, 0] = 2.0
+            povm.vectors[0, 0] = 2.0
+        # a single vector is one element
+        assert Povm(unit(1, m=4)).vectors.shape == (1, 4)
 
 
 class TestTimeLimitPovm:
     def test_single_projector_damped(self, b5):
         tl = time_limit_povm(projector_povm(0), b5)
-        el = tl.elements[0]
-        assert el.vectors[0, 0] == pytest.approx(b5.lambdas[0], rel=1e-15)
-        assert np.sum(el.vectors ** 2) == pytest.approx(b5.lambdas[0] ** 2, rel=1e-14)
+        assert tl.vectors[0, 0] == pytest.approx(b5.lambdas[0], rel=1e-15)
+        assert np.sum(tl.vectors ** 2) == pytest.approx(b5.lambdas[0] ** 2, rel=1e-14)
 
     def test_double_application_contracts(self, b5):
         povm = projector_povm(0, 1)
         once = time_limit_povm(povm, b5)
         twice = time_limit_povm(once, b5)
-        for el1, el2 in zip(once.elements, twice.elements):
-            assert np.sum(el2.vectors ** 2) < np.sum(el1.vectors ** 2)
-            assert np.allclose(el2.vectors, el1.vectors * b5.lambdas, atol=1e-16)
+        for v1, v2 in zip(once.vectors, twice.vectors):
+            assert np.sum(v2 ** 2) < np.sum(v1 ** 2)
+            assert np.allclose(v2, v1 * b5.lambdas, atol=1e-16)
 
     def test_probability_route_identity(self, b5):
         rng = np.random.default_rng(1234)

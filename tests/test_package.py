@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import types
@@ -46,6 +47,18 @@ def test_traced_names_resolve():
         tracer.uninstall()
     assert tracer.counts["basis.build_basis.calls"] == 1
     assert prolate.build_basis is original and prolate.cli.build_basis is original
+
+
+def test_readme_line_count_is_current():
+    # the README states the size of the package as `wc -l src/prolate/*.py`
+    # prints it: the newline count of every module
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"The package is (\d+) lines of Python", readme)
+    assert stated, "README states no line count"
+    modules = (root / "src" / "prolate").glob("*.py")
+    lines = sum(path.read_bytes().count(b"\n") for path in modules)
+    assert int(stated.group(1)) == lines
 
 
 def test_readme_library_example_runs():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from prolate import (DerivativeBasis, FisherMatrix, GaussianPsf, Povm, PovmElement,
-                     ProbeState, SlepianParams, TwoPulseModel, build_basis,
-                     design_from_sphere, probabilities_limited)
+from prolate import (DerivativeBasis, FisherMatrix, GaussianPsf, Povm, ProbeState,
+                     SlepianParams, TwoPulseModel, build_basis, design_from_sphere,
+                     probabilities_limited)
 from prolate.quadrature import real_line_rule
 
 
@@ -45,7 +45,7 @@ def test_rejects_non_finite_values_by_name(make, name):
 # compare their arrays as tuples and raise
 ARRAY_HOLDERS = {
     "ProlateBasis": lambda: build_basis(SlepianParams(5.0), n_max=4),
-    "PovmElement": lambda: PovmElement([0.5, 0.25], [[1.0, 0.0], [0.0, 1.0]]),
+    "Povm": lambda: Povm([[1.0, 0.0], [0.0, 0.5]]),
     "ProbeState": lambda: ProbeState([0.5, 0.5], [[0.6, 0.8], [0.8, 0.6]]),
     "MeasurementDesign": lambda: design_from_sphere(0.7, 1.0, 0.7, -0.2),
     "FisherMatrix": lambda: FisherMatrix(np.eye(2), ("a", "b"), [1e-5, 1e-5]),
@@ -65,7 +65,7 @@ def test_array_holders_compare_by_identity(make):
 def test_dimensionless_outputs_invariant_under_rescaling():
     # same c, different T: identical probabilities for identical coefficients
     probe = ProbeState([1.0], [np.eye(5)[0]])
-    povm = Povm((PovmElement([1.0], [np.eye(5)[1] * 0.8 + np.eye(5)[0] * 0.6]),))
+    povm = Povm([np.eye(5)[1] * 0.8 + np.eye(5)[0] * 0.6])
     p1 = probabilities_limited(probe, povm, build_basis(SlepianParams(3.0, T=1.0), n_max=4))
     p2 = probabilities_limited(probe, povm, build_basis(SlepianParams(3.0, T=2.5), n_max=4))
     assert np.max(np.abs(p1 - p2)) < 1e-12

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from prolate import (GaussianPsf, Povm, PovmElement, ProbeState,
+from prolate import (GaussianPsf, Povm, ProbeState,
                      PovmValidityError, SlepianParams, TwoPulseModel,
                      build_basis, crb, default_psf_sigma, design_from_sphere,
                      efficiency_bounds, efficiency_factor, eval_psi,
@@ -21,8 +21,7 @@ def test_shared_basis_concurrent_readers():
     # a built basis is immutable; concurrent evaluation must agree with serial
     basis = build_basis(SlepianParams(5.0), n_max=8)
     probe = ProbeState([0.5, 0.5], np.eye(9)[:2])
-    povm = Povm((PovmElement([1.0], [np.eye(9)[0]]),
-                 PovmElement([1.0], [np.eye(9)[1]])))
+    povm = Povm(np.eye(9)[:2])
     t = np.linspace(-2.0, 2.0, 101)
 
     def work(n):
@@ -63,9 +62,9 @@ def test_whole_line_orthogonality_at_stretched_window():
 
 def test_povm_validate_direct():
     vec = np.eye(4)[0]
-    good = Povm((PovmElement([1.0], [vec]),))
+    good = Povm([vec])
     assert good.validate() == pytest.approx(1.0, abs=1e-12)
-    bad = Povm((PovmElement([1.0], [vec]), PovmElement([0.5], [vec])))
+    bad = Povm([vec, np.sqrt(0.5) * vec])
     with pytest.raises(PovmValidityError):
         bad.validate()
 

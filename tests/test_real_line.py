@@ -232,7 +232,7 @@ def exact_fisher(model, povm, basis, regime, g_hat):
     """
     shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
     rows = [oracles.transform_rows(basis, g_hat, tau0=s, n_derivs=1) for s in shifts]
-    vectors = np.vstack([el.vectors for el in povm.elements])
+    vectors = povm.vectors
     if regime == "limited":
         vectors = vectors * basis.lambdas[:vectors.shape[1]]
     elif regime == "truncated":

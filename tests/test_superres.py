@@ -153,6 +153,43 @@ class TestProbeFromModel:
                     assert row_errors(want, got[None, :])[0] <= 1e-10, \
                         (c, type(psf).__name__, shift)
 
+    def test_rows_at_their_rounding_floor_refused(self, basis_cache):
+        # at c = 45 the pulses at 3 +/- 0.05, inside the reach 4.07, have rows
+        # of about 3e-15 whose rounding floor is 9.2e-2 of their norm; there
+        # superres_fisher returned an all-zero matrix, every outcome excluded
+        b = basis_cache(45.0)
+        far = TwoPulseModel(GaussianPsf(default_psf_sigma(45.0)), tau=0.1, tau0=3.0)
+        centred = replace(far, tau0=0.0)
+        povm = optimal_povm(sample_design(), gram_schmidt(gamma_modes(centred, b)))
+        for call in (lambda: probe_from_model(far, b),
+                     lambda: superres_fisher(far, povm, b, "limited"),
+                     lambda: superres_fisher([centred, far], povm, b, "ideal")):
+            with pytest.raises(QuadratureError, match=r"order 0 at shift 3.05 is below "
+                                                      r"1e\+12 times its rounding floor") as err:
+                call()
+            assert 0.05 < err.value.achieved < 0.2
+
+    @pytest.mark.parametrize("c", [20.0, 45.0])
+    def test_accepted_rows_clear_of_their_rounding_floor(self, basis_cache, c):
+        # every probe row accepted out to the reach is within 1e-8 of the
+        # oracle, as for gamma_modes; the outer centroids are refused
+        b = basis_cache(c)
+        sigma = default_psf_sigma(c)
+        g_hat = oracles.gaussian_transform(sigma)
+        refused = 0
+        for tau0 in np.linspace(0.0, b._band_rule[2] - 0.05, 9):
+            try:
+                probe = probe_from_model(TwoPulseModel(GaussianPsf(sigma), tau=0.1,
+                                                       tau0=tau0), b)
+            except QuadratureError:
+                refused += 1
+                continue
+            want = np.vstack([oracles.transform_rows(b, g_hat, tau0=s, n_derivs=0,
+                                                     n_omega=2000)
+                              for s in (tau0 + 0.05, tau0 - 0.05)])
+            assert np.max(row_errors(want, probe.modes)) <= 1e-8, tau0
+        assert 0 < refused < 9
+
     def test_rejects_unnormalized_generic_psf(self, b5):
         bad = lambda t: 2.0 * GaussianPsf(0.5)(t)
         with pytest.raises(ValueError):
@@ -423,7 +460,7 @@ class TestOptimalPovm:
         assert np.max(np.abs(p[0] - p[1])) < 1e-12
         mode = probe_from_model(TwoPulseModel(GaussianPsf(default_psf_sigma(5.0)),
                                               tau=0.0), b5).modes[0]
-        direct = [float(np.dot(el.vectors[0], mode)) ** 2 for el in povm.elements]
+        direct = [float(np.dot(v, mode)) ** 2 for v in povm.vectors]
         assert np.max(np.abs(np.array(direct) - p[0][:3])) < 1e-12
 
 
