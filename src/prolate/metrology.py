@@ -26,7 +26,7 @@ class ProbeState:
 
     Rows live in the prolate coefficient space; they need not be mutually
     orthogonal (any convex decomposition of the same operator yields the
-    same probabilities).
+    same probabilities).  Weights and rows are stored as read-only copies.
     """
 
     weights: np.ndarray
@@ -34,8 +34,9 @@ class ProbeState:
     params: SlepianParams | None = None
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        m = np.atleast_2d(np.asarray(self.modes, dtype=float))
+        w = np.array(self.weights, dtype=float, ndmin=1)
+        m = np.array(self.modes, dtype=float, ndmin=2)
+        w.flags.writeable = m.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "modes", m)
         if w.ndim != 1 or m.shape[0] != w.size:
@@ -53,9 +54,11 @@ class ProbeState:
 class Povm:
     """Rank-1 monitored elements |pi_j><pi_j|, one read-only row pi_j each.
 
-    ``vectors`` is a (d, m) matrix over the prolate coefficients; the leakage
-    element d, the identity minus their sum, is implicit.  Each row's norm^2
-    is at most 1, so each element alone is below the identity.
+    ``vectors`` is a (d, m) matrix v over the prolate coefficients; the
+    leakage element, the identity minus the sum v^T v, is implicit.  Building
+    a Povm checks that sum: the d x d Gram v v^T has its nonzero spectrum,
+    and a top eigenvalue s above 1 + ``POVM_SLACK`` raises PovmValidityError
+    with s and the unit direction v^T u / sqrt(s), u its eigenvector.
     """
 
     vectors: np.ndarray
@@ -66,22 +69,13 @@ class Povm:
         if v.ndim != 2 or v.size == 0:
             raise ValueError(f"POVM needs a non-empty (elements, coefficients) matrix of "
                              f"vectors, got shape {v.shape}")
-        norms = np.sum(v * v, axis=1)
-        if np.any(norms > 1.0 + POVM_SLACK):
-            raise ValueError(f"POVM vector norm^2 exceeds 1: {norms.max()!r}")
+        evals, evecs = np.linalg.eigh(v @ v.T)
+        top = float(evals[-1])
+        if top > 1.0 + POVM_SLACK:
+            raise PovmValidityError("monitored elements exceed the identity", top,
+                                    eigenvector=evecs[:, -1] @ v / np.sqrt(top))
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
-
-    def completeness_operator(self) -> np.ndarray:
-        """Matrix of sum_j |pi_j><pi_j| on the spanned coefficient space."""
-        return self.vectors.T @ self.vectors
-
-    def validate(self) -> float:
-        """Check that the leakage complement stays positive; returns top eigenvalue."""
-        top = float(np.linalg.eigvalsh(self.completeness_operator())[-1])
-        if top > 1.0 + POVM_SLACK:
-            raise PovmValidityError("monitored elements exceed the identity", top)
-        return top
 
 
 def _check_shared_params(a: SlepianParams | None, b: SlepianParams | None) -> None:
@@ -106,7 +100,9 @@ def _probabilities(modes: np.ndarray, rho: np.ndarray, povm: Povm, w=None) -> np
     1 up to the plunge index and 0 above for the truncated sums.  The rows
     and the POVM's vectors must have the same width.  Each vector's
     amplitudes are one (1, m) @ (m, k) product, which rounds as the product
-    of that vector alone.
+    of that vector alone.  Rows are not checked (``superres_fisher`` passes
+    raw ones) and the probe and POVM slacks can add up, so a probability
+    outside [0, 1] or a sum above 1, past ``PROB_SLACK``, raises PovmValidityError.
     """
     vectors = povm.vectors
     m = vectors.shape[1]
@@ -122,7 +118,8 @@ def _probabilities(modes: np.ndarray, rho: np.ndarray, povm: Povm, w=None) -> np
     leak = 1.0 - p_click.sum()
     if leak < -PROB_SLACK:
         raise PovmValidityError(
-            f"monitored probabilities sum to {p_click.sum()!r} > 1; POVM is over-complete")
+            f"monitored probabilities sum to {p_click.sum()!r} > 1; probe rows above "
+            f"unit norm, or the probe and POVM slacks adding up")
     return np.append(np.clip(p_click, 0.0, 1.0), max(leak, 0.0))
 
 
@@ -169,9 +166,12 @@ def time_limit_povm(povm: Povm, basis: ProlateBasis) -> Povm:
     """Compress every monitored element into the measurement window.
 
     Each vector is damped to pi_jn * lambda_n, so ideal probabilities of the
-    result reproduce the limited probabilities of the original.  Element
-    norms can only shrink.  Applying the map twice damps by lambda_n^2: the
-    window projector is idempotent in time, but its compression onto the
+    result reproduce the limited probabilities of the original.  The result
+    is valid whenever the original is: with L = diag(lambda_n),
+    sum_j L pi_j pi_j^T L = L (sum_j pi_j pi_j^T) L <= L^2 <= I, as every
+    0 <= lambda_n < 1; so its top eigenvalue is at most lambda_0^2 times the
+    original's.  Applying the map twice damps by lambda_n^2: the window
+    projector is idempotent in time, but its compression onto the
     bandlimited subspace is a strict contraction.
     """
     if povm.params is not None and povm.params != basis.params:

@@ -18,8 +18,8 @@ import numpy as np
 from .basis import ProlateBasis
 from .bandlimited import _pulse_rows, _pulse_transform
 from .errors import IdentifiabilityError, PovmValidityError, QuadratureError, RankDeficiencyError
-from .metrology import (POVM_SLACK, Povm, ProbeState, _check_shared_params, _column_weight,
-                        _default_steps, _plunge_weight, _probabilities, fisher_matrix)
+from .metrology import (Povm, ProbeState, _check_shared_params, _column_weight, _default_steps,
+                        _plunge_weight, _probabilities, fisher_matrix)
 from .params import SlepianParams
 
 REGIMES = ("ideal", "limited", "truncated")
@@ -147,15 +147,13 @@ class DerivativeBasis:
 
     ``gamma``  : projections of d^n/dt^n Psf(t - tau0), one row per order.
     ``phi``    : orthonormal rows spanning the same space, filled by
-                 ``gram_schmidt``; row k combines gamma rows 0..k only.
-    ``transform``: the lower-triangular map with positive diagonal such that
-                 phi = transform @ gamma.
+                 ``gram_schmidt``; row k combines gamma rows 0..k only, so
+                 phi @ gamma.T is upper triangular with a positive diagonal.
     """
 
     params: SlepianParams
     gamma: np.ndarray
     phi: np.ndarray | None = None
-    transform: np.ndarray | None = None
 
     def require_phi(self) -> np.ndarray:
         if self.phi is None:
@@ -182,9 +180,9 @@ def gram_schmidt(dbasis: DerivativeBasis) -> DerivativeBasis:
     """Orthonormalize the derivative rows by one QR factorization.
 
     gamma^T = Q R with diag(R) > 0, so phi = Q^T has orthonormal rows, row k
-    mixes gamma rows 0..k only, and transform = (R^-1)^T is lower triangular
-    with a positive diagonal.  Dependent rows raise RankDeficiencyError; a
-    zero row, or a row in the span of the previous ones, is named by its index.
+    mixes gamma rows 0..k only, and phi @ gamma^T = R.  Dependent rows raise
+    RankDeficiencyError; a zero row, or a row in the span of the previous
+    ones, is named by its index.
     """
     gamma = dbasis.gamma
     n, m = gamma.shape
@@ -208,19 +206,18 @@ def gram_schmidt(dbasis: DerivativeBasis) -> DerivativeBasis:
         raise RankDeficiencyError(
             f"derivative rows nearly dependent (normalized Gram determinant "
             f"{det:.3e} < {RANK_TOL:.1e})")
-    signs = np.sign(np.diag(r))
-    r *= signs[:, None]
-    return replace(dbasis, phi=(q * signs).T, transform=np.linalg.inv(r).T)
+    return replace(dbasis, phi=(q * np.sign(np.diag(r))).T)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementDesign:
-    """Coefficient matrix C_jk of the three projective elements over phi_0..phi_3."""
+    """Read-only coefficient matrix C_jk of the three elements over phi_0..phi_3."""
 
     C: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.C, dtype=float))
+        c = np.array(self.C, dtype=float, ndmin=2)
+        c.flags.writeable = False
         if c.shape != (3, 4):
             raise ValueError(f"design matrix must be 3x4, got {c.shape}")
         object.__setattr__(self, "C", c)
@@ -263,9 +260,9 @@ def optimal_povm(design: MeasurementDesign, dbasis: DerivativeBasis) -> Povm:
     """The three projective elements |pi_j><pi_j|, pi_j = sum_k C_jk phi_k.
 
     The POVM's vectors are the rows of C @ phi; the leakage element is
-    implicit.  Validity demands the summed operator stay below the identity
-    (so the leakage complement is positive) and the three elements be
-    linearly independent.
+    implicit.  Linearly dependent active (nonzero) rows of C raise
+    PovmValidityError here; ``Povm`` itself checks that the summed elements
+    stay below the identity.
     """
     phi = dbasis.require_phi()
     c = design.C
@@ -277,12 +274,6 @@ def optimal_povm(design: MeasurementDesign, dbasis: DerivativeBasis) -> Povm:
         s = np.linalg.svd(active, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
             raise PovmValidityError("active design rows are linearly dependent")
-    gram_op = c.T @ c  # operator of sum_j Pi_j in the orthonormal phi frame
-    evals, evecs = np.linalg.eigh(gram_op)
-    if evals[-1] > 1.0 + POVM_SLACK:
-        raise PovmValidityError("leakage complement not positive",
-                                top_eigenvalue=float(evals[-1]),
-                                eigenvector=evecs[:, -1] @ phi)
     return Povm(c @ phi, params=dbasis.params)
 
 

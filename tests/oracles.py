@@ -243,25 +243,22 @@ def transform_rows(basis, g_hat, tau0=0.0, n_derivs=3, n_omega=None):
 
 
 def modified_gram_schmidt(gamma):
-    """Orthonormal rows phi and lower-triangular transform with phi = transform @ gamma.
+    """Orthonormal rows phi and upper-triangular r with gamma = r.T @ phi.
 
-    Row k of phi is row k of gamma less its parts along phi_0..phi_{k-1},
-    removed one at a time, then normalized, so the diagonal is positive.
+    Row k of phi is row k of gamma less its parts r_jk along phi_0..phi_{k-1},
+    removed one at a time, then normalized by r_kk, so the diagonal is positive.
     """
     n = gamma.shape[0]
     phi = np.zeros(gamma.shape)
-    transform = np.zeros((n, n))
+    r = np.zeros((n, n))
     for k in range(n):
         v = np.array(gamma[k], dtype=float)
-        coeff = np.eye(n)[k]
         for j in range(k):
-            r = np.dot(phi[j], v)
-            v -= r * phi[j]
-            coeff -= r * transform[j]
-        norm = np.linalg.norm(v)
-        phi[k] = v / norm
-        transform[k] = coeff / norm
-    return phi, transform
+            r[j, k] = np.dot(phi[j], v)
+            v -= r[j, k] * phi[j]
+        r[k, k] = np.linalg.norm(v)
+        phi[k] = v / r[k, k]
+    return phi, r
 
 
 def window_inner(psi_n_vals, psi_m_vals, weights):

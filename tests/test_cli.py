@@ -260,6 +260,16 @@ class TestSuperres:
         assert code == EXIT_NUMERIC
         assert not out.exists()
 
+    def test_overcomplete_design_maps_to_numeric_exit(self, tmp_path, capsys):
+        # r1 = r2 = 1 at different angles: the summed elements exceed the
+        # identity, and the POVM refuses itself when optimal_povm builds it
+        out = tmp_path / "never.csv"
+        code = main(["superres", "--c", "5", "--tau", "0.4",
+                     "--design", "1,0.5,1,1.0", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "monitored elements exceed the identity" in capsys.readouterr().err
+        assert not out.exists()
+
 
     def test_singular_crb_reported_as_nan(self, tmp_path, capsys):
         # separation far below the pulse width: Fisher degenerates, the sweep

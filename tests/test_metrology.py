@@ -36,8 +36,13 @@ def random_probe_povm(rng, m=9, k=2, d=3):
     probe = ProbeState(wts / wts.sum(), rows)
     v = rng.standard_normal((d, m))
     v /= np.linalg.norm(v, axis=1)[:, None] * rng.uniform(1.0, 2.0, d)[:, None]
-    top = float(np.linalg.eigvalsh(Povm(v).completeness_operator())[-1])
+    top = float(np.linalg.eigvalsh(v.T @ v)[-1])
     return probe, Povm(v * math.sqrt(0.98 / top))
+
+
+def top_eigenvalue(povm):
+    """Largest eigenvalue of the summed monitored elements."""
+    return float(np.linalg.eigvalsh(povm.vectors.T @ povm.vectors)[-1])
 
 
 class TestProbabilitiesIdeal:
@@ -57,9 +62,27 @@ class TestProbabilitiesIdeal:
         assert p == pytest.approx([0.5, 0.5, 0.0], abs=1e-14)
 
     def test_overcomplete_rejected(self):
-        probe = ProbeState([1.0], [unit(0)])
-        povm = Povm([unit(0), unit(0)])
-        with pytest.raises(PovmValidityError):
+        # the POVM refuses itself when built, not when first evaluated
+        for scale, top in ((1.0, 2.0), (math.sqrt(0.5), 1.5)):
+            with pytest.raises(PovmValidityError, match="exceed the identity") as err:
+                Povm([unit(0), scale * unit(0)])
+            assert err.value.top_eigenvalue == pytest.approx(top, rel=1e-14)
+            direction = err.value.eigenvector
+            assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-14)
+            assert abs(direction[0]) == pytest.approx(1.0, rel=1e-14)
+        # a partial isometry sits exactly at the identity and builds
+        Povm([unit(0), unit(1)])
+
+    def test_kernel_refusals_within_slacks(self):
+        # probe rows and POVM vectors each within their own 1e-9 slack, yet
+        # together past the kernel's 1e-10: the kernel keeps both refusals
+        a = math.sqrt(1.0 + 5e-10)
+        povm = Povm([a * unit(0), a * unit(1)])
+        with pytest.raises(PovmValidityError, match=r"outside \[0, 1\]"):
+            probabilities_ideal(ProbeState([1.0], [a * unit(0)]), povm)
+        # each probability near 1/2, their sum near 1 + 1e-9
+        probe = ProbeState([1.0], [a * (unit(0) + unit(1)) / math.sqrt(2.0)])
+        with pytest.raises(PovmValidityError, match="slacks adding up"):
             probabilities_ideal(probe, povm)
 
     def test_validation_errors(self):
@@ -67,8 +90,9 @@ class TestProbabilitiesIdeal:
             ProbeState([0.7, 0.7], [unit(0), unit(1)])  # weights don't sum to 1
         with pytest.raises(ValueError):
             ProbeState([1.0], [2.0 * unit(0)])  # row norm > 1
-        with pytest.raises(ValueError, match="norm"):
+        with pytest.raises(PovmValidityError, match="exceed the identity") as err:
             Povm([unit(0), 1.1 * unit(1)])  # element above the identity
+        assert err.value.top_eigenvalue == pytest.approx(1.21, rel=1e-14)
         with pytest.raises(ValueError, match="non-empty"):
             Povm([])
 
@@ -218,6 +242,21 @@ class TestProbabilityKernel:
 
 
 class TestTimeLimitPovm:
+    @pytest.mark.parametrize("c", [0.5, 5.0, 20.0])
+    def test_partial_isometries_stay_valid(self, c):
+        # sum_j L pi_j pi_j^T L = L (sum_j pi_j pi_j^T) L <= L^2: the damped
+        # POVM builds, and its top eigenvalue is at most lambda_0^2 times 1
+        basis = build_basis(SlepianParams(c), n_max=8)
+        lam0 = float(basis.lambdas[0])
+        rng = np.random.default_rng(41)
+        for d in (1, 2, 3, 4):
+            for _ in range(10):
+                q, _ = np.linalg.qr(rng.standard_normal((basis.n_modes, d)))
+                povm = Povm(q.T)
+                assert top_eigenvalue(povm) == pytest.approx(1.0, abs=1e-15)
+                damped = time_limit_povm(povm, basis)
+                assert top_eigenvalue(damped) <= lam0 ** 2 * top_eigenvalue(povm) * (1 + 1e-15)
+
     def test_single_projector_damped(self, b5):
         tl = time_limit_povm(projector_povm(0), b5)
         assert tl.vectors[0, 0] == pytest.approx(b5.lambdas[0], rel=1e-15)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from prolate import (DerivativeBasis, FisherMatrix, GaussianPsf, Povm, ProbeState,
-                     SlepianParams, TwoPulseModel, build_basis, design_from_sphere,
-                     probabilities_limited)
+from prolate import (DerivativeBasis, FisherMatrix, GaussianPsf, MeasurementDesign, Povm,
+                     ProbeState, SlepianParams, TwoPulseModel, build_basis,
+                     design_from_sphere, probabilities_limited)
 from prolate.quadrature import real_line_rule
 
 
@@ -60,6 +60,28 @@ def test_array_holders_compare_by_identity(make):
     assert x == x
     assert (x == y) is False and x != y
     assert len({x, y, x}) == 2
+
+
+# holders that validate their arrays keep read-only copies of them: a later
+# change to the caller's array must not undo the checks
+VALIDATED = {
+    "Povm": (Povm, {"vectors": [[0.6, 0.8, 0.0]]}),
+    "ProbeState": (ProbeState, {"weights": [1.0], "modes": [[0.6, 0.8, 0.0]]}),
+    "MeasurementDesign": (MeasurementDesign, {"C": np.eye(3, 4)}),
+}
+
+
+@pytest.mark.parametrize("cls, fields", VALIDATED.values(), ids=VALIDATED.keys())
+def test_validated_arrays_are_read_only_copies(cls, fields):
+    given = {name: np.array(value, dtype=float) for name, value in fields.items()}
+    held = cls(**given)
+    for name, array in given.items():
+        stored = getattr(held, name)
+        assert not np.shares_memory(stored, array) and not stored.flags.writeable
+        array *= 2.0
+        assert np.array_equal(stored, np.asarray(fields[name], dtype=float))
+        with pytest.raises(ValueError, match="read-only"):
+            stored[...] = 0.0
 
 
 def test_dimensionless_outputs_invariant_under_rescaling():

@@ -6,8 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from prolate import (GaussianPsf, Povm, ProbeState,
-                     PovmValidityError, SlepianParams, TwoPulseModel,
+from prolate import (GaussianPsf, Povm, ProbeState, SlepianParams, TwoPulseModel,
                      build_basis, crb, default_psf_sigma, design_from_sphere,
                      efficiency_bounds, efficiency_factor, eval_psi,
                      gamma_modes, gram_schmidt, optimal_povm,
@@ -58,15 +57,6 @@ def test_whole_line_orthogonality_at_stretched_window():
         for m in range(n, 6):
             val = oracles.whole_line_inner(basis, n, m)
             assert abs(val - (1.0 if n == m else 0.0)) < 1e-11
-
-
-def test_povm_validate_direct():
-    vec = np.eye(4)[0]
-    good = Povm([vec])
-    assert good.validate() == pytest.approx(1.0, abs=1e-12)
-    bad = Povm([vec, np.sqrt(0.5) * vec])
-    with pytest.raises(PovmValidityError):
-        bad.validate()
 
 
 def test_superres_fisher_truncated_regime():

@@ -337,14 +337,15 @@ class TestGramSchmidt:
         assert np.max(np.abs(gram - np.eye(4))) < 1e-8
 
     def test_triangular_positive_diagonal(self, dbasis5):
-        t = dbasis5.transform
-        assert np.max(np.abs(np.triu(t, 1))) == 0.0
-        assert np.all(np.diag(t) > 0.0)
-        assert np.allclose(dbasis5.phi, t @ dbasis5.gamma, atol=1e-12)
+        # phi @ gamma^T is R: row k of phi mixes gamma rows 0..k only
+        r = dbasis5.phi @ dbasis5.gamma.T
+        assert np.max(np.abs(np.tril(r, -1))) <= 1e-15 * np.max(np.abs(r))
+        assert np.all(np.diag(r) > 0.0)
+        assert np.allclose(dbasis5.gamma, np.triu(r).T @ dbasis5.phi, atol=1e-12)
 
     def test_orthonormal_input_is_fixed_point(self, b5, dbasis5):
         again = gram_schmidt(DerivativeBasis(params=b5.params, gamma=dbasis5.phi))
-        assert np.max(np.abs(again.transform - np.eye(4))) < 1e-8
+        assert np.max(np.abs(again.phi @ dbasis5.phi.T - np.eye(4))) < 1e-8
         assert np.max(np.abs(again.phi - dbasis5.phi)) < 1e-8
 
     def test_rank_deficiency_reported(self, b5, dbasis5):
@@ -379,9 +380,9 @@ class TestGramSchmidt:
     def test_matches_modified_gram_schmidt(self, basis_cache, c):
         sigma = default_psf_sigma(c)
         db = gram_schmidt(gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=sigma), basis_cache(c)))
-        phi, transform = oracles.modified_gram_schmidt(db.gamma)
+        phi, r = oracles.modified_gram_schmidt(db.gamma)
         assert np.max(np.abs(db.phi - phi)) <= 1e-13
-        assert np.max(np.abs(db.transform - transform)) <= 1e-13 * np.max(np.abs(transform))
+        assert np.max(np.abs(db.phi @ db.gamma.T - r)) <= 1e-13 * np.max(np.abs(r))
 
     def test_matches_hg_projections_at_large_c(self):
         # Gram-Schmidt of Gaussian derivatives reproduces the Hermite-Gauss
@@ -438,15 +439,19 @@ class TestOptimalPovm:
         c = np.zeros((3, 4))
         c[0, 1] = c[1, 2] = c[2, 0] = 1.0
         povm = optimal_povm(MeasurementDesign(c), dbasis5)
-        evals = np.linalg.eigvalsh(povm.completeness_operator())
+        evals = np.linalg.eigvalsh(povm.vectors.T @ povm.vectors)
         on_or_off = np.minimum(np.abs(evals), np.abs(evals - 1.0))
         assert np.max(on_or_off) < 1e-10
 
     def test_scaled_design_fails_validity(self, dbasis5):
         d = sample_design()
-        with pytest.raises(PovmValidityError) as err:
+        with pytest.raises(PovmValidityError, match="exceed the identity") as err:
             optimal_povm(MeasurementDesign(2.0 * d.C), dbasis5)
         assert err.value.top_eigenvalue > 1.0
+        # the direction is the top eigenvector of C^T C, taken into coefficients
+        _, evecs = np.linalg.eigh(4.0 * d.C.T @ d.C)
+        direction = evecs[:, -1] @ dbasis5.phi
+        assert abs(np.dot(err.value.eigenvector, direction)) == pytest.approx(1.0, rel=1e-12)
 
     def test_pure_state_reduction(self, b5, dbasis5):
         # at tau = 0 the state is pure: p_j = |<pi_j|Psi_0>|^2 whatever nu is
@@ -506,8 +511,7 @@ class TestEfficiencyBounds:
         phi = np.zeros((4, m))
         phi[0, 1] = phi[1, 2] = phi[3, 3] = 1.0
         phi[2, 0] = 1.0  # second orthonormal mode aligned with psi_0
-        db = DerivativeBasis(params=b5.params, gamma=phi, phi=phi,
-                             transform=np.eye(4))
+        db = DerivativeBasis(params=b5.params, gamma=phi, phi=phi)
         bound_phi2, bound_lambda0 = efficiency_bounds(db, b5)
         assert bound_phi2 == pytest.approx(bound_lambda0, rel=1e-15)
 
