@@ -6,8 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from prolate import (GaussianPsf, Povm, ProbeState, SlepianParams, TwoPulseModel,
-                     build_basis, crb, default_psf_sigma, design_from_sphere,
+from prolate import (GaussianPsf, Povm, PovmValidityError, ProbeState, SlepianParams,
+                     TwoPulseModel, build_basis, crb, default_psf_sigma, design_from_sphere,
                      efficiency_bounds, efficiency_factor, eval_psi,
                      gamma_modes, gram_schmidt, optimal_povm,
                      probabilities_limited, superres_fisher,
@@ -57,6 +57,18 @@ def test_whole_line_orthogonality_at_stretched_window():
         for m in range(n, 6):
             val = oracles.whole_line_inner(basis, n, m)
             assert abs(val - (1.0 if n == m else 0.0)) < 1e-11
+
+
+def test_povm_validate_direct():
+    # a POVM validates itself when built: a unit vector sits at the identity,
+    # and [v, sqrt(0.5) v] sums to 1.5 |v><v|, past it
+    vec = np.eye(4)[0]
+    good = Povm([vec])
+    top = np.linalg.eigvalsh(good.vectors @ good.vectors.T)[-1]
+    assert top == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(PovmValidityError) as err:
+        Povm([vec, np.sqrt(0.5) * vec])
+    assert err.value.top_eigenvalue == pytest.approx(1.5, rel=1e-14)
 
 
 def test_superres_fisher_truncated_regime():
