@@ -67,6 +67,9 @@ class ProlateBasis:
     lazily filled read-only arrays: the band rule ``_band_rule``, and per
     panel order the time-to-band map R of ``bandlimited``.  Threads filling
     them at once may each build a copy; the last stored is kept, no result changes.
+    ``_last_sampling`` holds the (psf, record) pair of the last pulse sampled
+    on the basis, one pair at most, replaced whole, so a reader takes both
+    from one tuple.
 
     Attributes
     ----------
@@ -79,6 +82,7 @@ class ProlateBasis:
     # Legendre coefficients beta_n of phi_n, one row per mode
     _beta: np.ndarray = field(repr=False)
     _band_blocks: dict = field(default_factory=dict, init=False, repr=False)
+    _last_sampling: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_modes(self) -> int:

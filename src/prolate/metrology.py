@@ -20,13 +20,27 @@ DEFAULT_P_FLOOR = 1e-12
 COND_CAP = 1e12
 
 
+def _freeze(holder, name: str, ndmin: int) -> np.ndarray:
+    """Replace the holder's array field ``name`` by a read-only float copy.
+
+    The copy has at least ``ndmin`` dimensions; a NaN or inf entry raises
+    ValueError, so no later check or kernel meets one.
+    """
+    a = np.array(getattr(holder, name), dtype=float, ndmin=ndmin)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{type(holder).__name__}.{name} has a NaN or inf entry")
+    a.flags.writeable = False
+    object.__setattr__(holder, name, a)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ProbeState:
     """Convex decomposition of a probe: weights rho_k and coefficient rows Psi_kn.
 
     Rows live in the prolate coefficient space; they need not be mutually
     orthogonal (any convex decomposition of the same operator yields the
-    same probabilities).  Weights and rows are stored as read-only copies.
+    same probabilities).  Weights and rows are stored as finite read-only copies.
     """
 
     weights: np.ndarray
@@ -34,11 +48,7 @@ class ProbeState:
     params: SlepianParams | None = None
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float, ndmin=1)
-        m = np.array(self.modes, dtype=float, ndmin=2)
-        w.flags.writeable = m.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "modes", m)
+        w, m = _freeze(self, "weights", 1), _freeze(self, "modes", 2)
         if w.ndim != 1 or m.shape[0] != w.size:
             raise ValueError("modes must have one row per weight")
         if np.any(w < -1e-15):
@@ -54,7 +64,7 @@ class ProbeState:
 class Povm:
     """Rank-1 monitored elements |pi_j><pi_j|, one read-only row pi_j each.
 
-    ``vectors`` is a (d, m) matrix v over the prolate coefficients; the
+    ``vectors`` is a finite (d, m) matrix v over the prolate coefficients; the
     leakage element, the identity minus the sum v^T v, is implicit.  Building
     a Povm checks that sum: the d x d Gram v v^T has its nonzero spectrum,
     and a top eigenvalue s above 1 + ``POVM_SLACK`` raises PovmValidityError
@@ -65,7 +75,7 @@ class Povm:
     params: SlepianParams | None = None
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=float, ndmin=2)
+        v = _freeze(self, "vectors", 2)
         if v.ndim != 2 or v.size == 0:
             raise ValueError(f"POVM needs a non-empty (elements, coefficients) matrix of "
                              f"vectors, got shape {v.shape}")
@@ -74,8 +84,6 @@ class Povm:
         if top > 1.0 + POVM_SLACK:
             raise PovmValidityError("monitored elements exceed the identity", top,
                                     eigenvector=evecs[:, -1] @ v / np.sqrt(top))
-        v.flags.writeable = False
-        object.__setattr__(self, "vectors", v)
 
 
 def _check_shared_params(a: SlepianParams | None, b: SlepianParams | None) -> None:
@@ -182,7 +190,7 @@ def time_limit_povm(povm: Povm, basis: ProlateBasis) -> Povm:
 
 @dataclass(frozen=True, eq=False)
 class FisherMatrix:
-    """Classical Fisher information with the evaluation metadata that shaped it."""
+    """Classical Fisher information, kept finite and read-only, with the metadata that shaped it."""
 
     matrix: np.ndarray
     labels: tuple
@@ -190,9 +198,9 @@ class FisherMatrix:
     excluded_outcomes: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
+        _freeze(self, "matrix", 2)
+        _freeze(self, "steps", 1)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "steps", np.atleast_1d(np.asarray(self.steps, dtype=float)))
         object.__setattr__(self, "excluded_outcomes", tuple(self.excluded_outcomes))
 
 

@@ -73,7 +73,8 @@ def real_line_rule(f, core_radius: float, *, max_freq: float) -> RealLineRule:
     while that energy is 0, as for a pulse far off centre, the rule grows on.
     ``max_freq`` is the highest angular frequency the panels must resolve.
     The radius is capped at ``RADIUS_CAP`` core radii; hitting the cap is
-    reported through ``converged`` and left to the caller to enforce.
+    reported through ``converged`` and left to the caller to enforce.  A
+    complex or non-finite sample raises ValueError naming the cause.
     """
     if not (core_radius > 0.0):
         raise ValueError("core_radius must be positive")
@@ -89,7 +90,12 @@ def real_line_rule(f, core_radius: float, *, max_freq: float) -> RealLineRule:
         (a, b), (c, d) = left, right
         hl, hr = 0.5 * (b - a), 0.5 * (d - c)
         xl, xr = a + hl * x1, c + hr * x1
-        v = np.asarray(f(np.concatenate((xl, xr))), dtype=float)
+        v = np.asarray(f(np.concatenate((xl, xr))))
+        if np.iscomplexobj(v) or not np.all(np.isfinite(v)):
+            kind = "complex" if np.iscomplexobj(v) else "non-finite"
+            raise ValueError(f"function returned {kind} samples; only finite real "
+                             f"functions of time are taken")
+        v = v.astype(float, copy=False)
         return (left, xl, hl * w, v[:order]), (right, xr, hr * w, v[order:])
 
     def energy(panel):

@@ -19,7 +19,7 @@ from .basis import ProlateBasis
 from .bandlimited import _pulse_rows, _pulse_transform
 from .errors import IdentifiabilityError, PovmValidityError, QuadratureError, RankDeficiencyError
 from .metrology import (Povm, ProbeState, _check_shared_params, _column_weight, _default_steps,
-                        _plunge_weight, _probabilities, fisher_matrix)
+                        _freeze, _plunge_weight, _probabilities, fisher_matrix)
 from .params import SlepianParams
 
 REGIMES = ("ideal", "limited", "truncated")
@@ -91,31 +91,56 @@ class TwoPulseModel:
         return np.array([self.tau, self.tau0, self.nu])
 
 
-def _sampled_pulse(psf, basis: ProlateBasis):
-    # the band transform of Psf(t), centred at its own origin, from one
-    # sampling; every shift is a phase of it.  Its energy also shows a pulse
-    # that is not unit-norm or too narrow for the rule to resolve
+@dataclass(frozen=True, eq=False)
+class _Sampling:
+    """One checked sampling of a pulse on a basis.
+
+    ``transform`` is the band transform (w, B, F, reach) of Psf(t), centred
+    at its own origin; every shift is a phase of it.  ``floor`` holds, per
+    derivative order m = 0..N_DERIVS, the norm of the rounding floor
+    eps sum_q |B_nq| |(i w_q)^m F_q| of a row; a shift only turns the phase
+    of F_q, so one floor per order serves every shift.
+    """
+
+    transform: tuple
+    floor: np.ndarray
+
+
+def _sampled_pulse(psf, basis: ProlateBasis) -> _Sampling:
+    """The basis' sampling of ``psf``: the stored one if ``psf`` is the pulse
+    last sampled there, else a new one that replaces it.
+
+    A pulse is matched by identity, so any callable works and nothing is
+    hashed.  Its energy shows a pulse that is not unit-norm or too narrow for
+    the rule to resolve: such a sampling raises ValueError and is not kept.
+    """
+    last = basis._last_sampling
+    if last is not None and last[0] is psf:
+        return last[1]
     transform, energy = _pulse_transform(psf, basis)
     err = abs(energy - 1.0)
     if not err <= _NORM_TOL:
         raise ValueError(f"point spread function is not unit-norm, or narrower than "
                          f"the real-line rule resolves (|energy - 1| = {err:.3e})")
-    return transform
+    freqs, band, F, _ = transform
+    F.flags.writeable = False
+    floor = np.linalg.norm(np.abs(freqs) ** np.arange(N_DERIVS + 1)[:, None] * np.abs(F)
+                           @ np.abs(band).T, axis=1) * np.finfo(float).eps
+    floor.flags.writeable = False
+    sampling = _Sampling(transform, floor)
+    object.__setattr__(basis, "_last_sampling", (psf, sampling))
+    return sampling
 
 
-def _rows_above_floor(transform, shifts, n_derivs: int) -> np.ndarray:
+def _rows_above_floor(sampling: _Sampling, shifts, n_derivs: int) -> np.ndarray:
     """``_pulse_rows`` at the shifts, each row checked against its rounding floor.
 
-    A row of order m rounds to about eps sum_q |B_nq| |(i w_q)^m F_q|; a shift
-    only turns the phase of F_q, so one floor per order serves every shift.
-    A row under ``_FLOOR_FACTOR`` times its floor, as for a narrow pulse far
-    off the window, raises QuadratureError naming the row and carrying the
-    largest floor / norm share.
+    A row under ``_FLOOR_FACTOR`` times its order's floor, as for a narrow
+    pulse far off the window, raises QuadratureError naming the row and
+    carrying the largest floor / norm share.
     """
-    freqs, band, F, _ = transform
-    rows = _pulse_rows(transform, shifts, n_derivs)
-    floor = np.abs(freqs) ** np.arange(n_derivs + 1)[:, None] * np.abs(F) @ np.abs(band).T
-    share = np.finfo(float).eps * np.linalg.norm(floor, axis=1) / np.linalg.norm(rows, axis=2)
+    rows = _pulse_rows(sampling.transform, shifts, n_derivs)
+    share = sampling.floor[:n_derivs + 1] / np.linalg.norm(rows, axis=2)
     if np.any(share * _FLOOR_FACTOR > 1.0):
         s, m = np.unravel_index(np.argmax(share), share.shape)
         raise QuadratureError(f"row of order {m} at shift {shifts[s]:g} is below "
@@ -127,16 +152,15 @@ def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     """Probe state of the two-pulse mixture in the prolate coefficient space.
 
     Rows are the projections of the shifted pulses Psf(t - tau0 -/+ tau/2)
-    with weights (nu, 1 - nu), both phases of one sampling of Psf(t).  The
-    rows overlap for small tau, so this is a non-orthogonal convex
-    decomposition -- probabilities do not care.  A pulse that is not
+    with weights (nu, 1 - nu), both phases of the basis' sampling of Psf(t)
+    (``_sampled_pulse``).  The rows overlap for small tau, so this is a
+    non-orthogonal convex decomposition -- probabilities do not care.  A pulse that is not
     unit-norm, or too narrow for the real-line rule, raises ValueError; a
     shift beyond the band rule's reach, or a row under ``_FLOOR_FACTOR``
     times its rounding floor, raises QuadratureError.
     """
-    transform = _sampled_pulse(model.psf, basis)
     shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
-    modes = _rows_above_floor(transform, shifts, 0)[:, 0]
+    modes = _rows_above_floor(_sampled_pulse(model.psf, basis), shifts, 0)[:, 0]
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
                       modes=modes, params=basis.params)
 
@@ -149,11 +173,18 @@ class DerivativeBasis:
     ``phi``    : orthonormal rows spanning the same space, filled by
                  ``gram_schmidt``; row k combines gamma rows 0..k only, so
                  phi @ gamma.T is upper triangular with a positive diagonal.
+
+    Both are stored as finite read-only copies.
     """
 
     params: SlepianParams
     gamma: np.ndarray
     phi: np.ndarray | None = None
+
+    def __post_init__(self):
+        _freeze(self, "gamma", 2)
+        if self.phi is not None:
+            _freeze(self, "phi", 2)
 
     def require_phi(self) -> np.ndarray:
         if self.phi is None:
@@ -164,15 +195,16 @@ class DerivativeBasis:
 def gamma_modes(model: TwoPulseModel, basis: ProlateBasis) -> DerivativeBasis:
     """Project the derivative family d^n/dt^n Psf(t - tau0), n = 0..N_DERIVS.
 
-    The pulse is sampled once at its own origin, and must be unit-norm and
-    resolved by the real-line rule; tau0 is a phase of that transform.  Row 0
+    The pulse is sampled at its own origin, and must be unit-norm and
+    resolved by the real-line rule; tau0 is a phase of that transform.  The
+    basis keeps the sampling, and later calls with the same psf object, here
+    or in ``probe_from_model`` and ``superres_fisher``, read it again.  Row 0
     is the projection of Psf(t - tau0); rows n >= 1 take the transform times
     (i w)^n over the band of the basis: no step size enters and no derivative
     of the pulse is needed.  A row below ``_FLOOR_FACTOR`` times its rounding
     floor, as for a narrow pulse far off the window, raises QuadratureError.
     """
-    transform = _sampled_pulse(model.psf, basis)
-    gamma = _rows_above_floor(transform, (model.tau0,), N_DERIVS)[0]
+    gamma = _rows_above_floor(_sampled_pulse(model.psf, basis), (model.tau0,), N_DERIVS)[0]
     return DerivativeBasis(params=basis.params, gamma=gamma)
 
 
@@ -211,16 +243,14 @@ def gram_schmidt(dbasis: DerivativeBasis) -> DerivativeBasis:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementDesign:
-    """Read-only coefficient matrix C_jk of the three elements over phi_0..phi_3."""
+    """Finite read-only coefficient matrix C_jk of the three elements over phi_0..phi_3."""
 
     C: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.C, dtype=float, ndmin=2)
-        c.flags.writeable = False
+        c = _freeze(self, "C", 2)
         if c.shape != (3, 4):
             raise ValueError(f"design matrix must be 3x4, got {c.shape}")
-        object.__setattr__(self, "C", c)
 
 
 def design_from_sphere(r1: float, phi1: float, r2: float, phi2: float, *,
@@ -327,12 +357,13 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
     physical, not numerical.  A separation
     within one finite-difference step of 0, or an intensity ratio nu within
     one of 0 or 1, is refused too: the steps would leave the parameter range.
-    Every model is checked before the pulse is sampled, once per call at
-    its own origin.  Each stencil point reads its rows at the shifts
+    Every model is checked before the pulse's sampling is read: the basis'
+    sampling of the psf, made here only if the basis last sampled another
+    object.  Each stencil point reads its rows at the shifts
     tau0 +/- tau/2 as phases of that one transform, and each read checks the
     shifts against the band rule's reach (QuadratureError beyond it).  Every
     model's two rows are checked once, in one read, against their rounding
-    floor, which the one sampling fixes for every shift: a row under
+    floor, which the sampling holds for every shift: a row under
     ``_FLOOR_FACTOR`` times it raises QuadratureError.
     """
     single = isinstance(model, TwoPulseModel)
@@ -369,9 +400,10 @@ def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal
          "truncated": _plunge_weight(basis.params.c, basis.n_modes)}[regime]
     # every probe is two shifts of one sampling of Psf(t), so this one
     # sampling serves every model and every step
-    transform = _sampled_pulse(first.psf, basis)
+    sampling = _sampled_pulse(first.psf, basis)
+    transform = sampling.transform
     shifts = [s for m in models for s in (m.tau0 + 0.5 * m.tau, m.tau0 - 0.5 * m.tau)]
-    _rows_above_floor(transform, shifts, 0)
+    _rows_above_floor(sampling, shifts, 0)
 
     def probabilities(theta):
         tau, tau0, nu = theta

@@ -1,4 +1,4 @@
-"""Reuse of Gauss-Legendre rules and band blocks.
+"""Reuse of Gauss-Legendre rules, band blocks and a basis' last pulse sampling.
 
 The reference for the probe rows is the time-domain route the band route
 replaced: one real-line rule per shifted pulse and ``extension_matrix``
@@ -18,13 +18,25 @@ from prolate import (GaussianPsf, ProbeState, SlepianParams, TwoPulseModel,
                      design_from_sphere, efficiency_bounds, efficiency_factor,
                      extension_matrix, fisher_matrix, gamma_modes, gram_schmidt,
                      optimal_povm, probabilities_ideal, probabilities_limited,
-                     probabilities_truncated, project, superres_fisher,
+                     probabilities_truncated, probe_from_model, project, superres_fisher,
                      time_limited_design)
 from prolate.quadrature import _reference_rule, gauss_legendre, real_line_rule
 
 
 def sech_pulse(w):
     return lambda t: 1.0 / (np.cosh(np.asarray(t, dtype=float) / w) * math.sqrt(2.0 * w))
+
+
+def _count_rules(monkeypatch):
+    calls = Counter()
+    original = bandlimited.real_line_rule
+
+    def counted(*args, **kwargs):
+        calls["rule"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bandlimited, "real_line_rule", counted)
+    return calls
 
 
 def time_domain_probe(model, basis):
@@ -99,14 +111,7 @@ def _fisher_inputs(c, psf):
 def test_superres_fisher_checks_pulse_norm_once(monkeypatch):
     # the norm comes with the one sampling at tau0, which every step shares,
     # and takes no rule of its own
-    rules = Counter()
-    original = bandlimited.real_line_rule
-
-    def counted(*args, **kwargs):
-        rules["rule"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(bandlimited, "real_line_rule", counted)
+    rules = _count_rules(monkeypatch)
     c = 4.0
     basis, model, dbasis, design = _fisher_inputs(c, PlainGaussian(default_psf_sigma(c)))
     povm = optimal_povm(design, dbasis)
@@ -183,7 +188,101 @@ def test_band_blocks_are_private_state():
     gamma_modes(TwoPulseModel(GaussianPsf(0.4), tau=0.3), a)
     assert a._band_blocks and "_band_blocks" not in repr(a)
     assert "_band_rule" in vars(a) and "_band_rule" not in repr(a)
+    assert a._last_sampling and "_last_sampling" not in repr(a)
     assert not replace(a)._band_blocks and "_band_rule" not in vars(replace(a))
+    assert replace(a)._last_sampling is None
     assert not build_basis(SlepianParams(4.0))._band_blocks
-    with pytest.raises(AttributeError):
-        a._band_blocks = {}
+    _, sampling = a._last_sampling
+    for array in (*sampling.transform[:3], sampling.floor):
+        assert not array.flags.writeable
+    for name in ("_band_blocks", "_last_sampling"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+
+
+def _chain(psf, basis, taus, tau_floor):
+    """The documented chain: gamma_modes, then superres_fisher once per tau."""
+    model = TwoPulseModel(psf, tau=taus[0])
+    dbasis = gram_schmidt(gamma_modes(model, basis))
+    design = design_from_sphere(0.7, math.pi / 3.0, 0.7, math.pi / 3.0 - 1.2,
+                                row2=(0.55, 0.55, 0.0, 0.0))
+    povm = optimal_povm(design, dbasis)
+    fishers = [superres_fisher(TwoPulseModel(psf, tau=tau), povm, basis, "limited",
+                               tau_floor=tau_floor) for tau in taus]
+    return dbasis, [f.matrix for f in fishers], [crb(f) for f in fishers]
+
+
+@pytest.mark.parametrize("pulse", ["gaussian", "sech"])
+def test_chain_samples_each_pulse_once_per_basis(monkeypatch, pulse):
+    # the basis keeps its last sampling, matched by the psf object: the chain
+    # samples once, an equal new psf object or another basis samples again
+    c = 4.0
+    sigma = default_psf_sigma(c)
+    make = {"gaussian": lambda: PlainGaussian(sigma), "sech": lambda: sech_pulse(sigma)}[pulse]
+    basis, psf = build_basis(SlepianParams(c)), make()
+    calls = _count_rules(monkeypatch)
+    taus = (0.2, 0.35, 0.5)
+    first = _chain(psf, basis, taus, 1e-4 * sigma)
+    assert calls["rule"] == 1 and basis._last_sampling[0] is psf
+    probe_from_model(TwoPulseModel(psf, tau=0.3), basis)
+    assert calls["rule"] == 1
+    again = _chain(make(), basis, taus, 1e-4 * sigma)
+    assert calls["rule"] == 2
+    cold = _chain(psf, replace(basis), taus, 1e-4 * sigma)
+    assert calls["rule"] == 3
+    for other in (again, cold):
+        assert np.array_equal(first[0].gamma, other[0].gamma)
+        assert all(np.array_equal(a, b) for a, b in zip(first[1] + first[2],
+                                                         other[1] + other[2]))
+
+
+def test_interleaved_pulses_match_fresh_bases():
+    # two pulses taking turns on one basis each replace the stored sampling,
+    # and every result is bit-identical to the same call on a basis of its own
+    c = 5.0
+    sigma = default_psf_sigma(c)
+    basis = build_basis(SlepianParams(c))
+    a, b = GaussianPsf(sigma), sech_pulse(sigma)
+    design = design_from_sphere(0.7, math.pi / 3.0, 0.7, math.pi / 3.0 - 1.2,
+                                row2=(0.55, 0.55, 0.0, 0.0))
+    povm = optimal_povm(design, gram_schmidt(gamma_modes(TwoPulseModel(a, tau=sigma),
+                                                         build_basis(SlepianParams(c)))))
+    calls = [lambda bs, psf: gamma_modes(TwoPulseModel(psf, tau=0.2, tau0=0.1), bs).gamma,
+             lambda bs, psf: probe_from_model(TwoPulseModel(psf, tau=0.3), bs).modes,
+             lambda bs, psf: superres_fisher(TwoPulseModel(psf, tau=0.25, nu=0.4), povm, bs,
+                                             "ideal", tau_floor=1e-4 * sigma).matrix]
+    for k, call in enumerate(calls * 2):
+        for psf in (a, b) if k % 2 == 0 else (b, a):
+            got = call(basis, psf)
+            assert basis._last_sampling[0] is psf
+            assert np.array_equal(got, call(replace(basis), psf)), (k, psf)
+
+
+def _complex_pulse(t):
+    t = np.asarray(t, dtype=float)
+    return GaussianPsf(default_psf_sigma(5.0))(t) * np.exp(3j * t * t)
+
+
+def _nan_pulse(t):
+    return np.where(np.abs(np.asarray(t)) < 1.5, GaussianPsf(default_psf_sigma(5.0))(t), np.nan)
+
+
+@pytest.mark.parametrize("pulse, message", [(_complex_pulse, "complex samples"),
+                                            (_nan_pulse, "non-finite samples")])
+def test_complex_and_non_finite_pulses_refused_and_not_kept(pulse, message):
+    # the chirped Gaussian has unit norm; its real part alone (norm^2 0.733)
+    # was projected before, with only a ComplexWarning
+    basis = build_basis(SlepianParams(5.0))
+    kept = GaussianPsf(default_psf_sigma(5.0))
+    gamma_modes(TwoPulseModel(kept, tau=0.2), basis)
+    stored = basis._last_sampling
+    for call in (lambda: project(pulse, basis),
+                 lambda: gamma_modes(TwoPulseModel(pulse, tau=0.2), basis)):
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert basis._last_sampling is stored
+    unnormalized = PlainGaussian(default_psf_sigma(5.0), scale=1.5)
+    with pytest.raises(ValueError, match="not unit-norm"):
+        gamma_modes(TwoPulseModel(unnormalized, tau=0.2), basis)
+    assert basis._last_sampling is stored
+

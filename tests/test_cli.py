@@ -11,6 +11,7 @@ import pytest
 
 import prolate
 from prolate import lambda0_curve
+from prolate import bandlimited
 from prolate import basis as basis_module
 from prolate.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, ConfigError,
                          build_parser, grid_triple, main, parse_grid, resolve_config)
@@ -374,6 +375,18 @@ class TestSuperres:
         out = tmp_path / "rows.csv"
         assert main(["superres", *argv, "--out", str(out)]) == EXIT_OK
         assert len(read_rows(out)[1]) == n_rows
+
+    def test_one_rule_per_c(self, tmp_path, monkeypatch):
+        # gamma_modes and the Fisher call of one c share one GaussianPsf, so
+        # the basis' sampling of it serves both
+        calls = []
+        original = bandlimited.real_line_rule
+        monkeypatch.setattr(bandlimited, "real_line_rule",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        out = tmp_path / "rows.csv"
+        assert main(["superres", "--c-grid", "1:5:1", "--tau-grid", "0.1:0.3:0.1",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out)[1]) == 15 and len(calls) == 5
 
     def test_far_centroid_within_reach_runs(self, tmp_path):
         # at c = 1.2 the band rule reaches 53.3: the pulse is sampled at its

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -68,6 +69,10 @@ VALIDATED = {
     "Povm": (Povm, {"vectors": [[0.6, 0.8, 0.0]]}),
     "ProbeState": (ProbeState, {"weights": [1.0], "modes": [[0.6, 0.8, 0.0]]}),
     "MeasurementDesign": (MeasurementDesign, {"C": np.eye(3, 4)}),
+    "DerivativeBasis": (functools.partial(DerivativeBasis, SlepianParams(5.0)),
+                        {"gamma": np.eye(4, 6), "phi": np.eye(4, 6)}),
+    "FisherMatrix": (functools.partial(FisherMatrix, labels=("a", "b")),
+                     {"matrix": [[2.0, 0.5], [0.5, 1.0]], "steps": [1e-5, 1e-5]}),
 }
 
 
@@ -82,6 +87,18 @@ def test_validated_arrays_are_read_only_copies(cls, fields):
         assert np.array_equal(stored, np.asarray(fields[name], dtype=float))
         with pytest.raises(ValueError, match="read-only"):
             stored[...] = 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, fields", VALIDATED.values(), ids=VALIDATED.keys())
+def test_non_finite_arrays_refused(cls, fields, bad):
+    # every array field, one entry at a time: a NaN passed every range check
+    # and reached the probabilities as [nan, nan]
+    for name in fields:
+        given = {key: np.array(value, dtype=float) for key, value in fields.items()}
+        given[name].flat[0] = bad
+        with pytest.raises(ValueError, match=rf"\.{name} has a NaN or inf entry"):
+            cls(**given)
 
 
 def test_dimensionless_outputs_invariant_under_rescaling():

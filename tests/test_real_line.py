@@ -1,5 +1,5 @@
-"""Whole-line projections: the paired real-line rule, one sampling per call
-and the Fisher rows shared across steps and separations.
+"""Whole-line projections: the paired real-line rule, one sampling per pulse
+and basis, and the Fisher rows shared across steps and separations.
 
 The references are the plain formulas these replace: a rule that samples
 one panel at a time through ``gauss_legendre``, and ``fisher_matrix`` over
@@ -97,24 +97,20 @@ def test_rule_fields_match_per_panel_sampling(T, name):
 
 @pytest.mark.parametrize("name", ["gaussian", "sech"])
 def test_one_rule_per_call(monkeypatch, name):
-    # each call samples its pulse once; a probe's two shifted rows and its
-    # norm check come from that one sampling
+    # project samples its function on every call; gamma_modes and a probe
+    # read the basis' sampling of their psf, made by the first of them, and
+    # take both of a probe's shifted rows and the norm check from it
     basis = build_basis(SlepianParams(5.0))
     psf = PULSES[name]
-    rules = Counter()
-    original = bandlimited.real_line_rule
-
-    def counted(*args, **kwargs):
-        rules["rule"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(bandlimited, "real_line_rule", counted)
+    rules = _count_rules(monkeypatch)
     model = TwoPulseModel(psf, tau=0.3, tau0=0.1)
-    for call in (lambda: project(psf, basis), lambda: gamma_modes(model, basis),
-                 lambda: probe_from_model(model, basis)):
+    for want, call in ((1, lambda: project(psf, basis)), (1, lambda: project(psf, basis)),
+                       (1, lambda: gamma_modes(model, basis)),
+                       (0, lambda: probe_from_model(model, basis)),
+                       (0, lambda: gamma_modes(model, basis))):
         rules.clear()
         call()
-        assert rules["rule"] == 1
+        assert rules["rule"] == want
     row0 = gamma_modes(replace(model, tau0=0.0), basis).gamma[0]
     assert np.array_equal(row0, project(psf, basis))
 
@@ -152,11 +148,12 @@ def test_superres_fisher_matches_probe_from_model(monkeypatch, regime):
 
         want = fisher_matrix(prob_model, model.theta, labels=("tau", "tau0", "nu"))
 
-        # one centred sampling gives the rows of every step, at the same
-        # shifts tau0 +/- tau/2 as a fresh probe, so every entry is the same
+        # the centred sampling gamma_modes made gives the rows of every
+        # step, at the same shifts tau0 +/- tau/2 as a fresh probe, so every
+        # entry is the same, and the pulse is not sampled again
         calls.clear()
         got = superres_fisher(model, povm, basis, regime)
-        assert calls["rule"] == 1
+        assert calls["rule"] == 0
         assert np.array_equal(got.matrix, want.matrix), tau0
         assert got.labels == want.labels and np.array_equal(got.steps, want.steps)
         assert got.excluded_outcomes == want.excluded_outcomes
@@ -179,15 +176,15 @@ def test_superres_fisher_over_taus_equals_single_calls(monkeypatch, c, regime):
     want = [superres_fisher(m, povm, basis, regime) for m in models]
     calls = _count_rules(monkeypatch)
     got = superres_fisher(models, povm, basis, regime)
-    assert calls["rule"] == 1  # one at tau0, whatever the tau count
+    assert calls["rule"] == 0  # the basis' sampling, whatever the tau count
     assert len(got) == len(models)
     for g, w in zip(got, want):
         assert np.array_equal(g.matrix, w.matrix)
         assert np.array_equal(g.steps, w.steps)
         assert g.excluded_outcomes == w.excluded_outcomes
-    calls.clear()
-    superres_fisher(models[:1], povm, basis, regime)
-    assert calls["rule"] == 1
+    cold = superres_fisher(models, povm, replace(basis), regime)
+    assert calls["rule"] == 1  # one at tau0 on a basis with no sampling
+    assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(cold, want))
 
 
 @pytest.mark.parametrize("c", [1.2, 5.0, 20.0, 45.0])
@@ -198,7 +195,7 @@ def test_superres_fisher_matches_per_element_formula(c):
     # max|F|, 1.7e-10 of F_tautau and 2.8e-6 of a CRB (at c = 1.2,
     # tau = 0.1 sigma, where cond(F) = 5e11)
     basis, model, povm = _sweep_inputs(c)
-    transform = superres._sampled_pulse(model.psf, basis)
+    transform = superres._sampled_pulse(model.psf, basis).transform
     per_regime = {"ideal": {}, "limited": {"scale": basis.lambdas},
                   "truncated": {"n_cut": plunge_index(c)}}
     for f in (0.1, 0.5, 1.0, 2.0):
@@ -316,7 +313,7 @@ def test_rows_at_the_band_rule_reach(c, pulse):
     basis = build_basis(SlepianParams(c))
     reach = basis._band_rule[2]
     scale = np.max(np.abs(oracles.transform_rows(basis, g_hat)), axis=1)
-    transform = superres._sampled_pulse(psf, basis)
+    transform = superres._sampled_pulse(psf, basis).transform
     for s in (reach, -reach):
         got = bandlimited._pulse_rows(transform, (s,), 3)[0]
         want = oracles.transform_rows(basis, g_hat, tau0=s)
