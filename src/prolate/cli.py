@@ -24,7 +24,7 @@ from .errors import ProlateError, SingularFisherError
 from .hermite import HermiteGaussMode, hg_eval
 from .metrology import crb
 from .params import SlepianParams
-from .superres import (GaussianPsf, TwoPulseModel, default_psf_sigma,
+from .superres import (REGIMES, GaussianPsf, TwoPulseModel, default_psf_sigma,
                        design_from_sphere, efficiency_bounds, efficiency_factor,
                        gamma_modes, gram_schmidt, optimal_povm, superres_fisher,
                        time_limited_design)
@@ -166,8 +166,8 @@ class RunConfig:
     # intensity ratio stay identifiable at the symmetric point
     design_row2: tuple = _field("--design-row2", _SUPERRES, _four_numbers,
                                 (0.55, 0.55, 0.0, 0.0), metavar="C20,C21,C22,C23")
-    regime: str = _field("--regime", _SUPERRES, _choice("ideal", "limited", "truncated"),
-                         "limited", metavar="{ideal,limited,truncated}")
+    regime: str = _field("--regime", _SUPERRES, _choice(*REGIMES), "limited",
+                         metavar="{" + ",".join(REGIMES) + "}")
     t_grid: tuple = _field("--t-grid", ("hg-compare",), grid_triple, (-3.0, 3.0, 0.01),
                            metavar="START:STOP:STEP")
     out: str | None = _field("--out", _ALL, _text, help="data file (default COMMAND.FORMAT)")
@@ -304,8 +304,10 @@ def run_superres(cfg: RunConfig):
         tl_design = time_limited_design(design, dbasis, basis)
         bound_phi2, bound_lambda0 = efficiency_bounds(dbasis, basis)
         a_value = efficiency_factor(tl_design if cfg.regime == "limited" else design)
-        models = [replace(model0, tau=tau) for tau in taus]
-        for tau, fisher in zip(taus, superres_fisher(models, povm, basis, cfg.regime)):
+        # every tau's Fisher matrix before any CRB, so a failing tau exits before a nan line
+        fishers = [superres_fisher(replace(model0, tau=tau), povm, basis, cfg.regime)
+                   for tau in taus]
+        for tau, fisher in zip(taus, fishers):
             try:
                 bounds = crb(fisher)
             except SingularFisherError as exc:

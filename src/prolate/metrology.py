@@ -194,12 +194,10 @@ class FisherMatrix:
 
     matrix: np.ndarray
     labels: tuple
-    steps: np.ndarray
     excluded_outcomes: tuple = ()
 
     def __post_init__(self):
         _freeze(self, "matrix", 2)
-        _freeze(self, "steps", 1)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "excluded_outcomes", tuple(self.excluded_outcomes))
 
@@ -216,11 +214,11 @@ def _checked_probs(model, theta: np.ndarray) -> np.ndarray:
 
 
 def _default_steps(theta: np.ndarray) -> np.ndarray:
-    """Central-difference steps ``fisher_matrix`` takes when none are given."""
+    """Central-difference steps of ``fisher_matrix``, one per parameter."""
     return 1e-5 * (1.0 + np.abs(theta))
 
 
-def fisher_matrix(model, theta, steps=None, *, labels=None) -> FisherMatrix:
+def fisher_matrix(model, theta, *, labels=None) -> FisherMatrix:
     """Classical Fisher information matrix of a probability model.
 
     Parameters
@@ -230,12 +228,13 @@ def fisher_matrix(model, theta, steps=None, *, labels=None) -> FisherMatrix:
         neighborhood of ``theta`` and safe for repeated evaluation.
     theta : array_like
         Evaluation point.
-    steps : array_like or None
-        Per-parameter central-difference steps; default 1e-5 * (1 + |theta|).
-        One Richardson extrapolation is applied.
 
     Notes
     -----
+    Each derivative is a central difference with step h = 1e-5 (1 + |theta_i|)
+    and one Richardson extrapolation from h/2, so the model must stay valid
+    within h of ``theta``.
+
     The sum runs over every outcome the model reports, except those with
     probability below ``DEFAULT_P_FLOOR`` (their indices are reported on the
     result) -- 1/p is untrustworthy there.  To exclude an outcome (for
@@ -243,12 +242,7 @@ def fisher_matrix(model, theta, steps=None, *, labels=None) -> FisherMatrix:
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     n = theta.size
-    if steps is None:
-        steps = _default_steps(theta)
-    else:
-        steps = np.broadcast_to(np.asarray(steps, dtype=float), (n,)).copy()
-    if np.any(steps <= 0.0):
-        raise ValueError("steps must be positive")
+    steps = _default_steps(theta)
     if labels is None:
         labels = tuple(f"theta{i}" for i in range(n))
 
@@ -271,8 +265,7 @@ def fisher_matrix(model, theta, steps=None, *, labels=None) -> FisherMatrix:
     g = grads[:, keep]
     f = (g / p0[keep]) @ g.T
     f = 0.5 * (f + f.T)
-    return FisherMatrix(matrix=f, labels=labels, steps=steps,
-                        excluded_outcomes=excluded)
+    return FisherMatrix(matrix=f, labels=labels, excluded_outcomes=excluded)
 
 
 def crb(fisher: FisherMatrix) -> np.ndarray:

@@ -18,8 +18,8 @@ import numpy as np
 from .basis import ProlateBasis
 from .bandlimited import _pulse_rows, _pulse_transform
 from .errors import IdentifiabilityError, PovmValidityError, QuadratureError, RankDeficiencyError
-from .metrology import (Povm, ProbeState, _check_shared_params, _column_weight, _default_steps,
-                        _freeze, _plunge_weight, _probabilities, fisher_matrix)
+from .metrology import (FisherMatrix, Povm, ProbeState, _check_shared_params, _column_weight,
+                        _default_steps, _freeze, _plunge_weight, _probabilities, fisher_matrix)
 from .params import SlepianParams
 
 REGIMES = ("ideal", "limited", "truncated")
@@ -148,6 +148,11 @@ def _rows_above_floor(sampling: _Sampling, shifts, n_derivs: int) -> np.ndarray:
     return rows
 
 
+def _probe_shifts(tau, tau0) -> tuple:
+    """Shifts tau0 + tau/2 and tau0 - tau/2 of the two pulses, weighted nu and 1 - nu."""
+    return tau0 + 0.5 * tau, tau0 - 0.5 * tau
+
+
 def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     """Probe state of the two-pulse mixture in the prolate coefficient space.
 
@@ -159,8 +164,8 @@ def probe_from_model(model: TwoPulseModel, basis: ProlateBasis) -> ProbeState:
     shift beyond the band rule's reach, or a row under ``_FLOOR_FACTOR``
     times its rounding floor, raises QuadratureError.
     """
-    shifts = (model.tau0 + 0.5 * model.tau, model.tau0 - 0.5 * model.tau)
-    modes = _rows_above_floor(_sampled_pulse(model.psf, basis), shifts, 0)[:, 0]
+    modes = _rows_above_floor(_sampled_pulse(model.psf, basis),
+                              _probe_shifts(model.tau, model.tau0), 0)[:, 0]
     return ProbeState(weights=np.array([model.nu, 1.0 - model.nu]),
                       modes=modes, params=basis.params)
 
@@ -342,74 +347,57 @@ def efficiency_bounds(dbasis: DerivativeBasis, basis: ProlateBasis) -> tuple[flo
     return bound_phi2, float(basis.lambdas[0])
 
 
-def superres_fisher(model, povm: Povm, basis: ProlateBasis, regime: str = "ideal", *,
-                    tau_floor: float | None = None):
+def superres_fisher(model: TwoPulseModel, povm: Povm, basis: ProlateBasis,
+                    regime: str = "ideal", *, tau_floor: float | None = None) -> FisherMatrix:
     """Fisher information of theta = (tau, tau0, nu) under the chosen regime.
 
-    ``model`` is one TwoPulseModel, or a sequence of models that share their
-    psf, such as several separations at one centroid; a sequence gives a
-    list with one FisherMatrix per model, each equal to the call for that
-    model alone.  ``regime`` selects the weight on the probe's
-    coefficient columns: none for "ideal", lambda_n for "limited" (band +
-    window), 1 up to the plunge index and 0 above for "truncated".
-    Separations below ``tau_floor`` (default 1e-4 sigma for Gaussian pulses)
-    are refused: the parameters degenerate there and the singularity is
-    physical, not numerical.  A separation
-    within one finite-difference step of 0, or an intensity ratio nu within
-    one of 0 or 1, is refused too: the steps would leave the parameter range.
-    Every model is checked before the pulse's sampling is read: the basis'
-    sampling of the psf, made here only if the basis last sampled another
-    object.  Each stencil point reads its rows at the shifts
-    tau0 +/- tau/2 as phases of that one transform, and each read checks the
-    shifts against the band rule's reach (QuadratureError beyond it).  Every
-    model's two rows are checked once, in one read, against their rounding
-    floor, which the sampling holds for every shift: a row under
-    ``_FLOOR_FACTOR`` times it raises QuadratureError.
+    ``regime`` weights the probe's coefficient columns: none for "ideal",
+    lambda_n for "limited" (band + window), 1 up to the plunge index and 0
+    above for "truncated".  Refused before the pulse's sampling is read: a
+    separation below ``tau_floor`` (default 1e-4 sigma for Gaussian pulses),
+    where the parameters degenerate physically, not numerically; and a
+    separation within one finite-difference step of 0, or nu within one of 0
+    or 1, where the steps would leave the parameter range.  A NaN or negative
+    ``tau_floor`` raises ValueError.  The sampling is the basis' one of the
+    psf, made here only if the basis last sampled another object, so calls
+    over the separations of one psf share it.  Every stencil point reads the
+    rows at tau0 +/- tau/2 as phases of it, checked against the band rule's
+    reach; the model's two rows are checked once against ``_FLOOR_FACTOR``
+    times their rounding floor.  Either failure raises QuadratureError.
     """
-    single = isinstance(model, TwoPulseModel)
-    models = [model] if single else list(model)
-    if not models:
-        raise ValueError("no models given")
-    first = models[0]
-    if any(m.psf != first.psf for m in models):
-        raise ValueError("models must share psf")
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if tau_floor is None:
-        sigma = getattr(first.psf, "sigma", None)
+        sigma = getattr(model.psf, "sigma", None)
         if sigma is None:
             raise ValueError("tau_floor is required for point spread functions "
                              "without a sigma attribute")
         tau_floor = 1e-4 * sigma
-    for m in models:
-        if m.tau < tau_floor:
-            raise IdentifiabilityError(
-                f"separation tau = {m.tau!r} below the floor {tau_floor!r}; "
-                f"parameters are not identifiable in this regime")
-        tau_step, _, nu_step = (float(h) for h in _default_steps(m.theta))
-        if m.tau - tau_step < 0.0:
-            raise IdentifiabilityError(f"separation tau = {m.tau!r} within the Fisher step "
-                                       f"{tau_step!r} of 0; the steps in tau would make it "
-                                       f"negative")
-        if m.nu - nu_step < 0.0 or m.nu + nu_step > 1.0:
-            raise IdentifiabilityError(
-                f"intensity ratio nu = {m.nu!r} within the Fisher step {nu_step!r} "
-                f"of 0 or 1; the steps in nu would leave [0, 1]")
+    elif not tau_floor >= 0.0:
+        raise ValueError(f"tau_floor must be >= 0, got {tau_floor!r}")
+    if model.tau < tau_floor:
+        raise IdentifiabilityError(
+            f"separation tau = {model.tau!r} below the floor {tau_floor!r}; "
+            f"parameters are not identifiable in this regime")
+    tau_step, _, nu_step = (float(h) for h in _default_steps(model.theta))
+    if model.tau - tau_step < 0.0:
+        raise IdentifiabilityError(f"separation tau = {model.tau!r} within the Fisher step "
+                                   f"{tau_step!r} of 0; the steps in tau would make it negative")
+    if model.nu - nu_step < 0.0 or model.nu + nu_step > 1.0:
+        raise IdentifiabilityError(
+            f"intensity ratio nu = {model.nu!r} within the Fisher step {nu_step!r} "
+            f"of 0 or 1; the steps in nu would leave [0, 1]")
     _check_shared_params(basis.params, povm.params)
     w = {"ideal": None, "limited": basis.lambdas,
          "truncated": _plunge_weight(basis.params.c, basis.n_modes)}[regime]
-    # every probe is two shifts of one sampling of Psf(t), so this one
-    # sampling serves every model and every step
-    sampling = _sampled_pulse(first.psf, basis)
+    # every stencil point's probe is two shifts of one sampling of Psf(t)
+    sampling = _sampled_pulse(model.psf, basis)
     transform = sampling.transform
-    shifts = [s for m in models for s in (m.tau0 + 0.5 * m.tau, m.tau0 - 0.5 * m.tau)]
-    _rows_above_floor(sampling, shifts, 0)
+    _rows_above_floor(sampling, _probe_shifts(model.tau, model.tau0), 0)
 
     def probabilities(theta):
         tau, tau0, nu = theta
-        rows = _pulse_rows(transform, (tau0 + 0.5 * tau, tau0 - 0.5 * tau), 0)[:, 0]
+        rows = _pulse_rows(transform, _probe_shifts(tau, tau0), 0)[:, 0]
         return _probabilities(rows, np.array([nu, 1.0 - nu]), povm, w)
 
-    fishers = [fisher_matrix(probabilities, m.theta, labels=("tau", "tau0", "nu"))
-               for m in models]
-    return fishers[0] if single else fishers
+    return fisher_matrix(probabilities, model.theta, labels=("tau", "tau0", "nu"))

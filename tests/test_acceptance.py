@@ -160,7 +160,7 @@ def test_criterion_06_fisher_closed_forms():
         assert np.max(np.abs(fm3.matrix - expect)) < 1e-6
 
         from prolate import FisherMatrix
-        diag = FisherMatrix(np.diag([4.0, 25.0]), ("a", "b"), [1e-5, 1e-5])
+        diag = FisherMatrix(np.diag([4.0, 25.0]), ("a", "b"))
         assert np.allclose(crb(diag), [0.5, 0.2], rtol=1e-12)
         bern = crb(fm)[0]
         assert abs(bern - math.sqrt(0.21)) < 1e-6

@@ -419,6 +419,22 @@ class TestSuperres:
         assert data == [singles[0][0][0]] + [d[1] for d, _ in singles]
         assert err == "".join(e for _, e in singles)
 
+    def test_failing_tau_exits_before_any_nan_line(self, tmp_path, capsys):
+        # at c = 1 the limited Fisher matrix of tau = 0.1 is singular, so its
+        # CRBs alone are written as nan; with a tau below the floor in the
+        # same run, every Fisher matrix comes before any CRB and the run
+        # fails with nothing else on stderr
+        out = tmp_path / "never.csv"
+        code = main(["superres", "--c", "1", "--tau", "0.1", "--tau", "1e-9",
+                     "--regime", "limited", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: separation tau = 1e-09 below the floor")
+        assert not out.exists()
+        assert main(["superres", "--c", "1", "--tau", "0.1", "--regime", "limited",
+                     "--out", str(tmp_path / "alone.csv")]) == EXIT_OK
+        assert "c=1.0 tau=0.1: CRBs written as nan" in capsys.readouterr().err
+
     def test_tau_within_step_names_the_step(self, tmp_path, capsys):
         # passes the default floor 1e-4 sigma = 8.2e-6 but not the Fisher step 1e-5
         out = tmp_path / "never.csv"

@@ -49,7 +49,7 @@ ARRAY_HOLDERS = {
     "Povm": lambda: Povm([[1.0, 0.0], [0.0, 0.5]]),
     "ProbeState": lambda: ProbeState([0.5, 0.5], [[0.6, 0.8], [0.8, 0.6]]),
     "MeasurementDesign": lambda: design_from_sphere(0.7, 1.0, 0.7, -0.2),
-    "FisherMatrix": lambda: FisherMatrix(np.eye(2), ("a", "b"), [1e-5, 1e-5]),
+    "FisherMatrix": lambda: FisherMatrix(np.eye(2), ("a", "b")),
     "DerivativeBasis": lambda: DerivativeBasis(SlepianParams(5.0), np.eye(4, 6)),
     "RealLineRule": lambda: real_line_rule(GaussianPsf(0.3), 1.0, max_freq=10.0),
 }
@@ -72,7 +72,7 @@ VALIDATED = {
     "DerivativeBasis": (functools.partial(DerivativeBasis, SlepianParams(5.0)),
                         {"gamma": np.eye(4, 6), "phi": np.eye(4, 6)}),
     "FisherMatrix": (functools.partial(FisherMatrix, labels=("a", "b")),
-                     {"matrix": [[2.0, 0.5], [0.5, 1.0]], "steps": [1e-5, 1e-5]}),
+                     {"matrix": [[2.0, 0.5], [0.5, 1.0]]}),
 }
 
 

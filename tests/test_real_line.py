@@ -155,7 +155,7 @@ def test_superres_fisher_matches_probe_from_model(monkeypatch, regime):
         got = superres_fisher(model, povm, basis, regime)
         assert calls["rule"] == 0
         assert np.array_equal(got.matrix, want.matrix), tau0
-        assert got.labels == want.labels and np.array_equal(got.steps, want.steps)
+        assert got.labels == want.labels
         assert got.excluded_outcomes == want.excluded_outcomes
 
 
@@ -171,20 +171,20 @@ def _sweep_inputs(c):
 @pytest.mark.parametrize("c, regime", [(1.2, "limited"), (3.0, "ideal"), (6.0, "limited"),
                                        (12.0, "truncated"), (45.0, "ideal")])
 def test_superres_fisher_over_taus_equals_single_calls(monkeypatch, c, regime):
+    # one call per tau, as the CLI makes them: after gamma_modes sampled the
+    # psf no call samples it again, and on a basis with no sampling the first
+    # call samples it once for all; every matrix is the same either way
     basis, model, povm = _sweep_inputs(c)
     models = [replace(model, tau=f * model.psf.sigma) for f in (0.1, 0.35, 0.8, 1.5)]
-    want = [superres_fisher(m, povm, basis, regime) for m in models]
     calls = _count_rules(monkeypatch)
-    got = superres_fisher(models, povm, basis, regime)
-    assert calls["rule"] == 0  # the basis' sampling, whatever the tau count
-    assert len(got) == len(models)
-    for g, w in zip(got, want):
+    want = [superres_fisher(m, povm, basis, regime) for m in models]
+    assert calls["rule"] == 0
+    cold_basis = replace(basis)
+    cold = [superres_fisher(m, povm, cold_basis, regime) for m in models]
+    assert calls["rule"] == 1
+    for g, w in zip(cold, want):
         assert np.array_equal(g.matrix, w.matrix)
-        assert np.array_equal(g.steps, w.steps)
         assert g.excluded_outcomes == w.excluded_outcomes
-    cold = superres_fisher(models, povm, replace(basis), regime)
-    assert calls["rule"] == 1  # one at tau0 on a basis with no sampling
-    assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(cold, want))
 
 
 @pytest.mark.parametrize("c", [1.2, 5.0, 20.0, 45.0])
@@ -270,31 +270,15 @@ def test_superres_fisher_matches_exact_gradients(c, tau0, pulse):
 
 
 def test_superres_fisher_checks_every_tau_before_sampling(monkeypatch):
+    # on a basis with no sampling, a refused tau takes no rule and stores nothing
     basis, model, povm = _sweep_inputs(5.0)
+    cold_basis = replace(basis)
     calls = _count_rules(monkeypatch)
     with pytest.raises(IdentifiabilityError, match="below the floor"):
-        superres_fisher([model, replace(model, tau=1e-9)], povm, basis, "ideal")
+        superres_fisher(replace(model, tau=1e-9), povm, cold_basis, "ideal")
     with pytest.raises(IdentifiabilityError, match="Fisher step"):
-        superres_fisher([model, replace(model, tau=4e-6)], povm, basis, "ideal",
-                        tau_floor=0.0)
-    assert calls["rule"] == 0
-
-
-@pytest.mark.parametrize("change", [dict(tau0=0.1), dict(nu=0.5),
-                                    dict(psf=GaussianPsf(0.3))])
-def test_superres_fisher_models_must_share_pulse(change):
-    # only the pulse is sampled, so only the psf must be shared; each model
-    # reads its own tau0 and nu from the one transform
-    basis, model, povm = _sweep_inputs(5.0)
-    models = [model, replace(model, tau=0.2, **change)]
-    if "psf" in change:
-        with pytest.raises(ValueError, match="share psf"):
-            superres_fisher(models, povm, basis, "ideal")
-    else:
-        for got, m in zip(superres_fisher(models, povm, basis, "ideal"), models):
-            assert np.array_equal(got.matrix, superres_fisher(m, povm, basis, "ideal").matrix)
-    with pytest.raises(ValueError, match="no models"):
-        superres_fisher([], povm, basis, "ideal")
+        superres_fisher(replace(model, tau=4e-6), povm, cold_basis, "ideal", tau_floor=0.0)
+    assert calls["rule"] == 0 and cold_basis._last_sampling is None
 
 
 @pytest.mark.parametrize("c", [2.5, 5.0, 20.0, 45.0, 100.0])

@@ -163,7 +163,7 @@ class TestProbeFromModel:
         povm = optimal_povm(sample_design(), gram_schmidt(gamma_modes(centred, b)))
         for call in (lambda: probe_from_model(far, b),
                      lambda: superres_fisher(far, povm, b, "limited"),
-                     lambda: superres_fisher([centred, far], povm, b, "ideal")):
+                     lambda: superres_fisher(far, povm, b, "ideal")):
             with pytest.raises(QuadratureError, match=r"order 0 at shift 3.05 is below "
                                                       r"1e\+12 times its rounding floor") as err:
                 call()
@@ -585,6 +585,18 @@ class TestSuperresFisher:
         povm = optimal_povm(sample_design(), dbasis5)
         fm = superres_fisher(replace(model5, tau=2e-5), povm, b5, "ideal", tau_floor=0.0)
         assert np.all(np.isfinite(fm.matrix))
+
+    @pytest.mark.parametrize("floor", [math.nan, -1e-9, -math.inf])
+    def test_nan_or_negative_tau_floor_refused(self, b5, model5, dbasis5, floor):
+        # tau = 2e-5 is below the default floor 4.5e-5 at c = 5; a NaN floor
+        # let it through, a zero floor lets it through on purpose
+        povm = optimal_povm(sample_design(), dbasis5)
+        model = replace(model5, tau=2e-5)
+        with pytest.raises(IdentifiabilityError, match="below the floor"):
+            superres_fisher(model, povm, b5, "ideal")
+        with pytest.raises(ValueError, match="tau_floor must be >= 0"):
+            superres_fisher(model, povm, b5, "ideal", tau_floor=floor)
+        assert superres_fisher(model, povm, b5, "ideal", tau_floor=0.0).matrix[0, 0] > 0.0
 
     def test_nu_clear_of_boundary_accepted(self, b5, model5, dbasis5):
         povm = optimal_povm(sample_design(), dbasis5)
