@@ -9,11 +9,11 @@ superresolution measurement.
 
 from .bandlimited import project
 from .basis import (LAMBDA_FLOOR, ProlateBasis, build_basis, eval_psi,
-                    extension_matrix, lambda0_curve, plunge_index)
+                    extension_matrix, plunge_index)
 from .errors import (EigensolverError, IdentifiabilityError,
                      PovmValidityError, ProlateError, QuadratureError,
                      RankDeficiencyError, SingularFisherError)
-from .hermite import HermiteGaussMode, hermite_function, hg_eval
+from .hermite import hermite_function, hg_eval
 from .metrology import (FisherMatrix, Povm, ProbeState, crb, fisher_matrix,
                         probabilities_ideal, probabilities_limited,
                         probabilities_truncated, time_limit_povm)
@@ -29,11 +29,11 @@ __version__ = "0.1.0"
 __all__ = [
     "project",
     "LAMBDA_FLOOR", "ProlateBasis", "build_basis", "eval_psi",
-    "extension_matrix", "lambda0_curve", "plunge_index",
+    "extension_matrix", "plunge_index",
     "EigensolverError", "IdentifiabilityError",
     "PovmValidityError", "ProlateError", "QuadratureError",
     "RankDeficiencyError", "SingularFisherError",
-    "HermiteGaussMode", "hermite_function", "hg_eval",
+    "hermite_function", "hg_eval",
     "FisherMatrix", "Povm", "ProbeState", "crb", "fisher_matrix",
     "probabilities_ideal", "probabilities_limited",
     "probabilities_truncated", "time_limit_povm",

@@ -232,9 +232,9 @@ def extension_matrix(basis: ProlateBasis, t, indices=None) -> np.ndarray:
     ``_BLOCK_BYTES``, so memory beyond the result does not grow with len(t).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = np.atleast_1d(np.arange(basis.n_modes) if indices is None else np.asarray(indices, int))
-    if np.any((n < 0) | (n > basis.n_max)):
-        raise ValueError(f"mode index outside computed range 0..{basis.n_max}")
+    n = np.atleast_1d(np.arange(basis.n_modes) if indices is None else np.asarray(indices))
+    if n.dtype.kind not in "iu" or np.any((n < 0) | (n > basis.n_max)):
+        raise ValueError(f"mode indices {indices!r} are not integers in 0..{basis.n_max}")
     freqs, band, reach = basis._band_rule
     omega, size = basis.params.omega, basis._beta.shape[1]
     # the nodes pair as +/- w_q, and Psi_n is even and real, or odd and
@@ -270,16 +270,3 @@ def eval_psi(basis: ProlateBasis, n: int, t):
     if t_arr.ndim == 0:
         return float(vals[0])
     return vals.reshape(t_arr.shape)
-
-
-def lambda0_curve(c_values, T: float = 1.0) -> np.ndarray:
-    """Table of (c, lambda_0(c)) rows for the given c values."""
-    c_values = np.atleast_1d(np.asarray(c_values, dtype=float))
-    if c_values.size == 0:
-        raise ValueError("c_values must be non-empty")
-    rows = np.empty((c_values.size, 2))
-    for i, c in enumerate(c_values):
-        basis = build_basis(SlepianParams(c=float(c), T=T), n_max=0)
-        rows[i, 0] = c
-        rows[i, 1] = basis.lambdas[0]
-    return rows

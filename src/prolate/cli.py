@@ -18,10 +18,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import io as pio
-from .basis import (MAX_LEGENDRE_SIZE, _legendre_shape, build_basis, eval_psi,
-                    lambda0_curve, plunge_index)
+from .basis import MAX_LEGENDRE_SIZE, _legendre_shape, build_basis, eval_psi, plunge_index
 from .errors import ProlateError, SingularFisherError
-from .hermite import HermiteGaussMode, hg_eval
+from .hermite import hg_eval
 from .metrology import crb
 from .params import SlepianParams
 from .superres import (REGIMES, GaussianPsf, TwoPulseModel, default_psf_sigma,
@@ -191,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Concentration spectra, mode comparisons and "
                     "band/time-limited superresolution sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, _, help_text) in _COMMANDS.items():
+    for command, (_, _, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for f in _fields_of(command):
             meta = f.metadata
@@ -264,72 +263,67 @@ def _n_max_at(cfg: RunConfig, c: float):
             "lambda0": 0}[cfg.command]
 
 
-def run_spectrum(cfg: RunConfig):
-    rows = []
-    for c in cfg.c_values:
-        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=_n_max_at(cfg, c))
-        for n, lam in enumerate(basis.lambdas):
-            rows.append((c, n, float(lam)))
-    return ("c", "n", "lambda"), rows
+def _spectrum_rows(cfg: RunConfig, c: float, basis) -> list:
+    return [(c, n, float(lam)) for n, lam in enumerate(basis.lambdas)]
 
 
-def run_hg_compare(cfg: RunConfig):
+def _hg_compare_rows(cfg: RunConfig, c: float, basis) -> list:
     t = np.array(grid_values(*cfg.t_grid))
+    psi2, hg2 = eval_psi(basis, 2, t), hg_eval(2, c, t / cfg.T) / math.sqrt(cfg.T)
+    sup = float(np.max(np.abs(psi2 - hg2)))
+    return [(c, float(tv), float(pv), float(hv), sup) for tv, pv, hv in zip(t, psi2, hg2)]
+
+
+def _lambda0_rows(cfg: RunConfig, c: float, basis) -> list:
+    return [(c, float(basis.lambdas[0]))]
+
+
+def _superres_rows(cfg: RunConfig, c: float, basis):
+    design = design_from_sphere(*cfg.design, row2=cfg.design_row2)
+    sigma = cfg.sigma if cfg.sigma is not None else cfg.T * default_psf_sigma(c)
+    taus = cfg.tau_values or (sigma,)
+    model0 = TwoPulseModel(GaussianPsf(sigma), tau=taus[0], tau0=cfg.tau0, nu=cfg.nu)
+    dbasis = gram_schmidt(gamma_modes(model0, basis))
+    povm = optimal_povm(design, dbasis)
+    tl_design = time_limited_design(design, dbasis, basis)
+    bound_phi2, bound_lambda0 = efficiency_bounds(dbasis, basis)
+    a_value = efficiency_factor(tl_design if cfg.regime == "limited" else design)
+    # every tau's Fisher matrix before any CRB, so a failing tau exits before a nan line
+    fishers = [superres_fisher(replace(model0, tau=tau), povm, basis, cfg.regime)
+               for tau in taus]
+    for tau, fisher in zip(taus, fishers):
+        try:
+            bounds = crb(fisher)
+        except SingularFisherError as exc:
+            print(f"c={c!r} tau={tau!r}: CRBs written as nan: {exc}", file=sys.stderr)
+            bounds = np.full(3, math.nan)
+        yield (c, tau, cfg.tau0, cfg.nu, cfg.regime, a_value, bound_phi2, bound_lambda0,
+               float(fisher.matrix[0, 0]), float(bounds[0]), float(bounds[1]), float(bounds[2]))
+
+
+_COMMANDS = {  # rows at one c, default c values, header, help
+    "spectrum": (_spectrum_rows, (2.5 * math.pi, 5.0 * math.pi, 10.0 * math.pi),
+                 ("c", "n", "lambda"), "eigenvalue table (c, n, lambda_n)"),
+    "hg-compare": (_hg_compare_rows, (1.0, 5.0, 10.0, 20.0),
+                   ("c", "t", "psi2", "psi2_hg", "sup_distance"),
+                   "second prolate mode against the second Hermite-Gauss mode"),
+    "lambda0": (_lambda0_rows, grid_values(0.1, 10.0, 0.1), ("c", "lambda0"),
+                "largest eigenvalue as a function of c"),
+    "superres": (_superres_rows, (),
+                 ("c", "tau", "tau0", "nu", "regime", "A", "bound_phi2",
+                  "bound_lambda0", "F_tautau", "crb_tau", "crb_tau0", "crb_nu"),
+                 "efficiency factors, bounds, Fisher/CRB sweep"),
+}
+
+
+def run(cfg: RunConfig):
+    """The command's header and rows: its rows at each c, from one basis per c."""
+    rows_at, _, header, _ = _COMMANDS[cfg.command]
     rows = []
     for c in cfg.c_values:
         basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=_n_max_at(cfg, c))
-        psi2 = eval_psi(basis, 2, t)
-        hg2 = hg_eval(HermiteGaussMode(2, c), t / cfg.T) / math.sqrt(cfg.T)
-        sup = float(np.max(np.abs(psi2 - hg2)))
-        rows.extend((c, float(tv), float(pv), float(hv), sup)
-                    for tv, pv, hv in zip(t, psi2, hg2))
-    return ("c", "t", "psi2", "psi2_hg", "sup_distance"), rows
-
-
-def run_lambda0(cfg: RunConfig):
-    table = lambda0_curve(cfg.c_values, cfg.T)
-    return ("c", "lambda0"), [(float(c), float(lam)) for c, lam in table]
-
-
-def run_superres(cfg: RunConfig):
-    design = design_from_sphere(*cfg.design, row2=cfg.design_row2)
-    rows = []
-    for c in cfg.c_values:
-        basis = build_basis(SlepianParams(c=c, T=cfg.T), n_max=cfg.n_max)
-        sigma = cfg.sigma if cfg.sigma is not None else cfg.T * default_psf_sigma(c)
-        taus = cfg.tau_values or (sigma,)
-        model0 = TwoPulseModel(GaussianPsf(sigma), tau=taus[0], tau0=cfg.tau0, nu=cfg.nu)
-        dbasis = gram_schmidt(gamma_modes(model0, basis))
-        povm = optimal_povm(design, dbasis)
-        tl_design = time_limited_design(design, dbasis, basis)
-        bound_phi2, bound_lambda0 = efficiency_bounds(dbasis, basis)
-        a_value = efficiency_factor(tl_design if cfg.regime == "limited" else design)
-        # every tau's Fisher matrix before any CRB, so a failing tau exits before a nan line
-        fishers = [superres_fisher(replace(model0, tau=tau), povm, basis, cfg.regime)
-                   for tau in taus]
-        for tau, fisher in zip(taus, fishers):
-            try:
-                bounds = crb(fisher)
-            except SingularFisherError as exc:
-                print(f"c={c!r} tau={tau!r}: CRBs written as nan: {exc}", file=sys.stderr)
-                bounds = np.full(3, math.nan)
-            rows.append((c, tau, cfg.tau0, cfg.nu, cfg.regime, a_value,
-                         bound_phi2, bound_lambda0, float(fisher.matrix[0, 0]),
-                         float(bounds[0]), float(bounds[1]), float(bounds[2])))
-    header = ("c", "tau", "tau0", "nu", "regime", "A", "bound_phi2",
-              "bound_lambda0", "F_tautau", "crb_tau", "crb_tau0", "crb_nu")
+        rows.extend(rows_at(cfg, c, basis))
     return header, rows
-
-
-_COMMANDS = {  # runner, default c values, help
-    "spectrum": (run_spectrum, (2.5 * math.pi, 5.0 * math.pi, 10.0 * math.pi),
-                 "eigenvalue table (c, n, lambda_n)"),
-    "hg-compare": (run_hg_compare, (1.0, 5.0, 10.0, 20.0),
-                   "second prolate mode against the second Hermite-Gauss mode"),
-    "lambda0": (run_lambda0, grid_values(0.1, 10.0, 0.1),
-                "largest eigenvalue as a function of c"),
-    "superres": (run_superres, (), "efficiency factors, bounds, Fisher/CRB sweep"),
-}
 
 
 def _sanitize(value):
@@ -368,7 +362,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        header, rows = _COMMANDS[cfg.command][0](cfg)
+        header, rows = run(cfg)
     except (ProlateError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

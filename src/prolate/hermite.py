@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -14,8 +14,8 @@ def hermite_function(n: int, x):
     The normalization is folded into the recurrence step by step, so values
     stay bounded and no factorial is ever formed, even for large n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"mode index {n!r} is not an integer >= 0")
     x = np.asarray(x, dtype=float)
     h_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if n == 0:
@@ -26,21 +26,9 @@ def hermite_function(n: int, x):
     return h
 
 
-@dataclass(frozen=True)
-class HermiteGaussMode:
-    """Hermite-Gauss mode of index n at Slepian frequency c (intensity variance 1/(2c))."""
-
-    n: int
-    c: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("mode index must be >= 0")
-        if not (self.c > 0.0):
-            raise ValueError("c must be positive")
-
-
-def hg_eval(mode: HermiteGaussMode, t):
-    """Evaluate the unit-norm Hermite-Gauss mode at time t (scalar or array)."""
-    x = math.sqrt(mode.c) * np.asarray(t, dtype=float)
-    return mode.c ** 0.25 * hermite_function(mode.n, x)
+def hg_eval(n: int, c: float, t):
+    """Unit-norm Hermite-Gauss mode n of Slepian frequency c (intensity variance 1/(2c)) at t."""
+    if not (c > 0.0):
+        raise ValueError(f"c must be positive, got {c!r}")
+    x = math.sqrt(c) * np.asarray(t, dtype=float)
+    return c ** 0.25 * hermite_function(n, x)

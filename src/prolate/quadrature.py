@@ -74,7 +74,8 @@ def real_line_rule(f, core_radius: float, *, max_freq: float) -> RealLineRule:
     ``max_freq`` is the highest angular frequency the panels must resolve.
     The radius is capped at ``RADIUS_CAP`` core radii; hitting the cap is
     reported through ``converged`` and left to the caller to enforce.  A
-    complex or non-finite sample raises ValueError naming the cause.
+    complex or non-finite sample, or samples not shaped as the times, raise
+    ValueError naming the cause.
     """
     if not (core_radius > 0.0):
         raise ValueError("core_radius must be positive")
@@ -90,7 +91,9 @@ def real_line_rule(f, core_radius: float, *, max_freq: float) -> RealLineRule:
         (a, b), (c, d) = left, right
         hl, hr = 0.5 * (b - a), 0.5 * (d - c)
         xl, xr = a + hl * x1, c + hr * x1
-        v = np.asarray(f(np.concatenate((xl, xr))))
+        v = np.asarray(f(t := np.concatenate((xl, xr))))
+        if v.shape != t.shape:
+            raise ValueError(f"function returned shape {v.shape} for times of shape {t.shape}")
         if np.iscomplexobj(v) or not np.all(np.isfinite(v)):
             kind = "complex" if np.iscomplexobj(v) else "non-finite"
             raise ValueError(f"function returned {kind} samples; only finite real "

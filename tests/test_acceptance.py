@@ -15,7 +15,7 @@ from prolate import (GaussianPsf, Povm, ProbeState, SlepianParams,
                      TwoPulseModel, build_basis, crb, default_psf_sigma,
                      design_from_sphere, efficiency_bounds, efficiency_factor,
                      eval_psi, extension_matrix, fisher_matrix, gamma_modes,
-                     gram_schmidt, hg_eval, HermiteGaussMode, optimal_povm,
+                     gram_schmidt, hg_eval, optimal_povm,
                      plunge_index, probabilities_ideal, probabilities_limited,
                      probe_from_model, superres_fisher, time_limit_povm,
                      time_limited_design)
@@ -102,7 +102,7 @@ def test_criterion_04_hermite_gauss_convergence():
         for c in (1.0, 5.0, 10.0, 20.0):
             basis = build_basis(SlepianParams(c), n_max=max(4, plunge_index(c) + 2))
             dist = float(np.max(np.abs(eval_psi(basis, 2, t)
-                                       - hg_eval(HermiteGaussMode(2, c), t))))
+                                       - hg_eval(2, c, t))))
             distances.append(dist)
         elapsed = time.perf_counter() - started
         assert all(a > b for a, b in zip(distances, distances[1:]))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import special
 
 from prolate import (LAMBDA_FLOOR, GaussianPsf, SlepianParams, build_basis,
-                     default_psf_sigma, eval_psi, extension_matrix, lambda0_curve,
+                     default_psf_sigma, eval_psi, extension_matrix, hermite_function,
                      plunge_index, project)
 from prolate import basis as basis_module
 from prolate.basis import MAX_LEGENDRE_SIZE
@@ -198,6 +199,21 @@ class TestEvalPsi:
             residual = np.max(np.abs(vals - (-1) ** n * vals[::-1])) / np.max(np.abs(vals))
             assert residual < 1e-12, (n, residual)
 
+    def test_mode_index_must_be_an_integer_in_range(self, basis_cache):
+        # an index is refused, not cast: 2.7 is no psi_2, "1" no psi_1
+        b = basis_cache(5.0, 8)
+        t = np.linspace(-1.0, 1.0, 5)
+        for call, index in ((lambda: eval_psi(b, 2.7, t), "2.7"),
+                            (lambda: extension_matrix(b, t, ["1"]), "'1'"),
+                            (lambda: extension_matrix(b, t, [0, 2.0]), "2."),
+                            (lambda: eval_psi(b, 9, t), "9"),
+                            (lambda: extension_matrix(b, t, [-1]), "-1"),
+                            (lambda: hermite_function(2.5, t), "2.5")):
+            with pytest.raises(ValueError, match=f"{re.escape(index)}.*integer"):
+                call()
+        assert np.array_equal(extension_matrix(b, t, np.array([2], dtype=np.int32)),
+                              eval_psi(b, 2, t)[None])
+
 
 def cluster_size(c):
     return plunge_index(c) + 4
@@ -310,15 +326,11 @@ class TestSpectrumShape:
 
 class TestLambda0Curve:
     def test_monotone_and_saturating(self):
-        table = lambda0_curve([1.0, 2.0, 5.0, 10.0, 20.0])
-        lam0 = table[:, 1]
+        lam0 = np.array([build_basis(SlepianParams(c), n_max=0).lambdas[0]
+                         for c in (1.0, 2.0, 5.0, 10.0, 20.0)])
         assert np.all(np.diff(lam0) >= 0.0)
         assert np.all((lam0 > 0.0) & (lam0 < 1.0))
         assert lam0[2] == pytest.approx(0.999, abs=2e-3)
         assert 1.0 - lam0[-1] < 1e-6
         dense = oracles.dense_nystrom_lambdas(20.0, order=800, n_top=1)[0]
         assert abs(lam0[-1] - min(dense, np.nextafter(1.0, 0.0))) < 1e-12
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            lambda0_curve([])

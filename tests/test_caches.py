@@ -267,8 +267,13 @@ def _nan_pulse(t):
     return np.where(np.abs(np.asarray(t)) < 1.5, GaussianPsf(default_psf_sigma(5.0))(t), np.nan)
 
 
+def _constant_pulse(t):
+    return 1.0  # one number for the whole array of times
+
+
 @pytest.mark.parametrize("pulse, message", [(_complex_pulse, "complex samples"),
-                                            (_nan_pulse, "non-finite samples")])
+                                            (_nan_pulse, "non-finite samples"),
+                                            (_constant_pulse, r"shape \(\) for times of shape")])
 def test_complex_and_non_finite_pulses_refused_and_not_kept(pulse, message):
     # the chirped Gaussian has unit norm; its real part alone (norm^2 0.733)
     # was projected before, with only a ComplexWarning

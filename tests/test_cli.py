@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import prolate
-from prolate import lambda0_curve
+from prolate import SlepianParams, build_basis
 from prolate import bandlimited
 from prolate import basis as basis_module
 from prolate.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, ConfigError,
@@ -200,9 +200,38 @@ class TestLambda0:
         assert main(["lambda0", "--c-grid", "1:5:1", "--out", str(out)]) == EXIT_OK
         _, rows = read_rows(out)
         got = np.array([[float(r[0]), float(r[1])] for r in rows])
-        expect = lambda0_curve([1.0, 2.0, 3.0, 4.0, 5.0])
+        expect = [[c, build_basis(SlepianParams(c), n_max=0).lambdas[0]]
+                  for c in (1.0, 2.0, 3.0, 4.0, 5.0)]
         assert np.array_equal(got, expect)
         assert np.all(np.diff(got[:, 1]) >= 0.0)
+
+    def test_rows_equal_spectrum_n0_rows(self, tmp_path):
+        # both commands' default c grids; the lambda0 basis holds one mode, the
+        # spectrum basis plunge_index(c) + 7
+        spectrum_defaults = [arg for c in (2.5 * math.pi, 5.0 * math.pi, 10.0 * math.pi)
+                             for arg in ("--c", repr(c))]
+        lam0, spec = {}, {}
+        for k, grid in enumerate(([], spectrum_defaults, ["--c-grid", "0.1:10:0.1"])):
+            for command, table, keep in (("lambda0", lam0, lambda r: True),
+                                         ("spectrum", spec, lambda r: r[1] == "0")):
+                out = tmp_path / f"{command}{k}.csv"
+                assert main([command, *grid, "--out", str(out)]) == EXIT_OK
+                _, rows = read_rows(out)
+                table.update((float(r[0]), float(r[-1])) for r in rows if keep(r))
+        assert len(lam0) == 103 and lam0.keys() == spec.keys()
+        assert max(abs(lam0[c] - spec[c]) for c in lam0) <= 2e-15
+
+
+class TestNoCValues:
+    def test_refused_before_any_basis(self, tmp_path, monkeypatch, capsys):
+        # superres has no default c values; the other commands fall back to theirs
+        monkeypatch.setattr("prolate.cli.build_basis", None)
+        out = tmp_path / "never.csv"
+        (tmp_path / "cfg.json").write_text(json.dumps({"c_values": []}))
+        for extra in ([], ["--config", str(tmp_path / "cfg.json")]):
+            assert main(["superres", "--tau", "0.3", "--out", str(out), *extra]) == EXIT_CONFIG
+            assert "no c values given" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSuperres:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from prolate import (GaussianPsf, HermiteGaussMode,
-                     IdentifiabilityError, MeasurementDesign, PovmValidityError,
+from prolate import (GaussianPsf, IdentifiabilityError, MeasurementDesign, PovmValidityError,
                      ProbeState, QuadratureError, RankDeficiencyError, SingularFisherError,
                      SlepianParams, TwoPulseModel, build_basis, crb,
                      default_psf_sigma, design_from_sphere, efficiency_bounds,
@@ -392,7 +391,7 @@ class TestGramSchmidt:
         sigma = 1.0 / math.sqrt(2.0 * c)
         db = gram_schmidt(gamma_modes(TwoPulseModel(GaussianPsf(sigma), tau=0.1), b))
         for n in range(4):
-            hg = project(lambda t: hg_eval(HermiteGaussMode(n, c), t), b)
+            hg = project(lambda t: hg_eval(n, c, t), b)
             dist = np.linalg.norm(db.phi[n] - (-1.0) ** n * hg)
             assert dist < 1e-5
 
